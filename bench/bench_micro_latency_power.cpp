@@ -183,9 +183,7 @@ int main(int argc, char** argv) {
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-#if RT_OBS_ENABLED
-  std::printf("\nreceiver-stage spans across the google-benchmark pass:\n");
+  std::printf("\nreceiver-stage telemetry across the google-benchmark pass:\n");
   rt::obs::print_stage_summary(stdout, obs_rec.metrics, obs_rec.trace.spans());
-#endif
   return 0;
 }

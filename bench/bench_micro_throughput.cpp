@@ -62,7 +62,7 @@ int main() {
     reuse_stats.total_bits += out.bits;
   }
   const double reuse_s = seconds_since(t_reuse);
-  report.add_recorder(ws.obs);  // serial-path stage spans (RT_OBS builds)
+  report.add_recorder(ws.obs);  // serial-path counters and stage spans
 
   // Serial, fresh workspace per packet (the old allocate-per-call shape),
   // cross-checked against the reuse run packet by packet.

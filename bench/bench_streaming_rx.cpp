@@ -11,8 +11,8 @@
 //   pure noise      an idle channel of the same length -- the continuous
 //                   preamble scan must stay quiet (scan throughput).
 // Exits non-zero if any real frame is missed or any false frame is
-// emitted. Emits BENCH_streaming_rx.json; RT_OBS builds also write the
-// stream_scan/stream_sync/stream_decode stage spans and stream_* counters
+// emitted. Emits BENCH_streaming_rx.json plus the stream_* counters and,
+// with spans on, the stream_scan/stream_sync/stream_decode stage spans
 // (BENCH_streaming_rx.metrics.json, compared against the committed
 // baseline in CI).
 #include <chrono>

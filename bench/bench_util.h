@@ -169,8 +169,8 @@ class BenchReport {
   /// Records a named summary number (working range, gain, threshold...).
   void add_scalar(const std::string& key, double value) { scalars_.emplace_back(key, value); }
 
-  /// Accumulates engine wall time (summed across multiple sweeps) and, in
-  /// RT_OBS builds, the sweep's stage spans + metrics.
+  /// Accumulates engine wall time (summed across multiple sweeps) and the
+  /// sweep's metrics + stage spans.
   void add_sweep(const runtime::SweepResult& r) {
     sweep_wall_s_ += r.wall_s;
     obs_metrics_.merge(r.metrics);
@@ -178,25 +178,20 @@ class BenchReport {
   }
 
   /// Folds an already-merged metrics registry (e.g. a closed-loop study's)
-  /// into the report. No-op outside RT_OBS builds (the registry is empty).
+  /// into the report.
   void add_metrics(const obs::MetricsRegistry& m) { obs_metrics_.merge(m); }
 
   /// Appends already-collected spans (e.g. a fleet campaign's trace).
-  /// No-op outside RT_OBS builds (campaign traces are empty there).
   void add_trace(std::span<const obs::SpanRecord> spans) {
     obs_trace_.insert(obs_trace_.end(), spans.begin(), spans.end());
   }
 
   /// Folds a serial-path recorder (e.g. a PacketWorkspace's) into the
-  /// report. No-op unless built with RT_OBS=ON.
+  /// report.
   void add_recorder(const obs::Recorder& rec) {
-#if RT_OBS_ENABLED
     obs_metrics_.merge(rec.metrics);
     const auto spans = rec.trace.spans();
     obs_trace_.insert(obs_trace_.end(), spans.begin(), spans.end());
-#else
-    static_cast<void>(rec);
-#endif
   }
 
   /// Writes BENCH_<name>.json into the working directory.
@@ -239,23 +234,21 @@ class BenchReport {
   }
 
  private:
-  /// RT_OBS builds: print the per-stage summary and write the
+  /// Prints the per-stage summary and writes the
   /// BENCH_<name>.trace.json / BENCH_<name>.metrics.json /
   /// BENCH_<name>.folded.txt artifacts (schemas in docs/TELEMETRY.md).
-  /// No-op otherwise.
+  /// No-op when nothing was recorded.
   void write_obs_artifacts() const {
-    if constexpr (obs::kEnabled) {
-      if (obs_metrics_.empty() && obs_trace_.empty()) return;
-      obs::print_stage_summary(stdout, obs_metrics_, obs_trace_);
-      const std::string trace_path = "BENCH_" + name_ + ".trace.json";
-      const std::string metrics_path = "BENCH_" + name_ + ".metrics.json";
-      const std::string folded_path = "BENCH_" + name_ + ".folded.txt";
-      obs::write_chrome_trace(trace_path, obs_trace_);
-      obs::write_metrics_json(metrics_path, obs_metrics_, obs_trace_);
-      obs::write_folded_stacks(folded_path, obs_trace_);
-      std::printf("wrote %s + %s + %s (open the trace at chrome://tracing)\n", trace_path.c_str(),
-                  metrics_path.c_str(), folded_path.c_str());
-    }
+    if (obs_metrics_.empty() && obs_trace_.empty()) return;
+    obs::print_stage_summary(stdout, obs_metrics_, obs_trace_);
+    const std::string trace_path = "BENCH_" + name_ + ".trace.json";
+    const std::string metrics_path = "BENCH_" + name_ + ".metrics.json";
+    const std::string folded_path = "BENCH_" + name_ + ".folded.txt";
+    obs::write_chrome_trace(trace_path, obs_trace_);
+    obs::write_metrics_json(metrics_path, obs_metrics_, obs_trace_);
+    obs::write_folded_stacks(folded_path, obs_trace_);
+    std::printf("wrote %s + %s + %s (open the trace at chrome://tracing)\n", trace_path.c_str(),
+                metrics_path.c_str(), folded_path.c_str());
   }
 
   [[nodiscard]] static std::string escape(const std::string& s) {
@@ -273,8 +266,8 @@ class BenchReport {
   double sweep_wall_s_ = 0.0;
   std::vector<std::string> points_;
   std::vector<std::pair<std::string, double>> scalars_;
-  obs::MetricsRegistry obs_metrics_;       // stays empty unless RT_OBS=ON
-  std::vector<obs::SpanRecord> obs_trace_;  // stays empty unless RT_OBS=ON
+  obs::MetricsRegistry obs_metrics_;
+  std::vector<obs::SpanRecord> obs_trace_;  // stays empty unless spans are on
 };
 
 }  // namespace rt::bench

@@ -4,9 +4,10 @@
 # fails: `tee` no longer swallows exit codes.
 #
 # Usage: run_all.sh [build-dir]   (default: build)
-#   Point it at an RT_OBS=ON tree (run_all.sh build-obs) and every bench
-#   additionally prints its per-stage wall-time summary and writes
-#   BENCH_*.trace.json / BENCH_*.metrics.json (see docs/TELEMETRY.md).
+#   Every bench prints its counters and writes BENCH_*.metrics.json. Set
+#   RT_OBS_SPAN_CAPACITY=32768 and every bench additionally prints its
+#   per-stage wall-time summary and fills BENCH_*.trace.json /
+#   BENCH_*.folded.txt with stage spans (see docs/TELEMETRY.md).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -30,10 +31,10 @@ for b in "$BUILD_DIR"/bench/bench_*; do
 done
 
 # Surface the aggregate per-stage picture at the end of the record (the
-# summaries are emitted by the benches themselves in RT_OBS builds).
+# summaries are emitted by the benches themselves when spans are on).
 if grep -q "stage " bench_output.txt 2>/dev/null; then
   echo
-  echo "=== per-stage telemetry recorded (RT_OBS build) ==="
+  echo "=== per-stage telemetry recorded (spans on) ==="
   echo "trace/metrics artifacts: $(ls BENCH_*.trace.json 2>/dev/null | wc -l) trace file(s);"
   echo "open any BENCH_*.trace.json at chrome://tracing or ui.perfetto.dev"
 fi

@@ -7,15 +7,20 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 
 #include "common/error.h"
 
 namespace rt::coding {
 
 struct CodeDescriptor {
-  enum class Kind { kNone, kReedSolomon, kConvolutional };
+  /// 64-bit so the struct has no padding: every byte of a descriptor is
+  /// set, and byte-wise views of it (e.g. gtest's parameter names) are
+  /// the same on every run.
+  enum class Kind : std::uint64_t { kNone, kReedSolomon, kConvolutional };
 
   Kind kind = Kind::kNone;
   std::size_t n = 0;  ///< RS: codeword symbols; unused otherwise
@@ -64,5 +69,8 @@ struct CodeDescriptor {
 
   friend bool operator==(const CodeDescriptor&, const CodeDescriptor&) = default;
 };
+
+static_assert(std::has_unique_object_representations_v<CodeDescriptor>,
+              "CodeDescriptor must have no padding bytes");
 
 }  // namespace rt::coding

@@ -101,8 +101,8 @@ struct FleetResult {
   double delivery_rate = 0.0;
   double collision_rate = 0.0;        ///< cross-cell corrupted / attempted
   double mean_discovery_rounds = 0.0; ///< mean over tags of discovery_round
-  obs::MetricsRegistry metrics;       ///< empty unless RT_OBS=ON
-  std::vector<obs::SpanRecord> trace; ///< empty unless RT_OBS=ON
+  obs::MetricsRegistry metrics;
+  std::vector<obs::SpanRecord> trace; ///< empty unless spans are on (RT_OBS_SPAN_CAPACITY)
 
   /// Bitwise equality of everything data-derived: the serial-vs-parallel
   /// acceptance gate of test_fleet and bench_fleet_inventory.
@@ -224,10 +224,8 @@ struct FleetResult {
       });
     }
     const auto obs = runtime::run_deterministic_batches(std::move(tasks), workers);
-    if constexpr (obs::kEnabled) {
-      out.metrics.merge(obs.metrics);
-      out.trace.insert(out.trace.end(), obs.spans.begin(), obs.spans.end());
-    }
+    out.metrics.merge(obs.metrics);
+    out.trace.insert(out.trace.end(), obs.spans.begin(), obs.spans.end());
   }
 
   // --- Phase E: inventory epochs. ---
@@ -289,7 +287,6 @@ struct FleetResult {
               RoundOut ro;
               for (const std::uint32_t id : dep.shards[r]) {
                 ++ro.attempted;
-                RT_OBS_COUNT(kFleetSlots, 1);
                 // Fixed draw order per slot: the cross-collision draw
                 // (when the cell is exposed at all), then the channel
                 // draw -- so the stream layout is schedule-independent.
@@ -297,15 +294,16 @@ struct FleetResult {
                 const double u = rng.uniform();
                 if (cross) {
                   ++ro.cross;
-                  RT_OBS_COUNT(kFleetCrossCollisions, 1);
-                  RT_OBS_COUNT(kFleetPacketsLost, 1);
                 } else if (u < p_ok[id]) {
                   ++ro.delivered;
-                  RT_OBS_COUNT(kFleetPacketsDelivered, 1);
-                } else {
-                  RT_OBS_COUNT(kFleetPacketsLost, 1);
                 }
               }
+              // Counted once per round: counter calls in the slot loop
+              // cost measurable campaign throughput.
+              RT_OBS_COUNT(kFleetSlots, ro.attempted);
+              RT_OBS_COUNT(kFleetCrossCollisions, ro.cross);
+              RT_OBS_COUNT(kFleetPacketsDelivered, ro.delivered);
+              RT_OBS_COUNT(kFleetPacketsLost, ro.attempted - ro.delivered);
               ro.snr_estimate_db = worst_snr[r] + rng.gaussian(0.0, cfg.estimate_noise_db);
               round_out[r][static_cast<std::size_t>(g)] = ro;
             }
@@ -314,10 +312,8 @@ struct FleetResult {
       }
     }
     const auto obs = runtime::run_deterministic_batches(std::move(tasks), workers);
-    if constexpr (obs::kEnabled) {
-      out.metrics.merge(obs.metrics);
-      out.trace.insert(out.trace.end(), obs.spans.begin(), obs.spans.end());
-    }
+    out.metrics.merge(obs.metrics);
+    out.trace.insert(out.trace.end(), obs.spans.begin(), obs.spans.end());
 
     // E.2 (serial): controllers consume the epoch in round order and the
     // next epoch's assignments are frozen from their state.
@@ -369,11 +365,9 @@ struct FleetResult {
   out.mean_discovery_rounds =
       out.discovery_round.empty() ? 0.0
                                   : round_sum / static_cast<double>(out.discovery_round.size());
-#if RT_OBS_ENABLED
   out.metrics.merge(serial_rec.metrics);
   const auto serial_spans = serial_rec.trace.spans();
   out.trace.insert(out.trace.end(), serial_spans.begin(), serial_spans.end());
-#endif
   return out;
 }
 

@@ -52,8 +52,8 @@ struct CollisionPoint {
 
 struct CollisionStudyResult {
   std::vector<CollisionPoint> points;
-  obs::MetricsRegistry metrics;       ///< empty unless RT_OBS=ON
-  std::vector<obs::SpanRecord> trace; ///< empty unless RT_OBS=ON
+  obs::MetricsRegistry metrics;
+  std::vector<obs::SpanRecord> trace; ///< empty unless spans are on (RT_OBS_SPAN_CAPACITY)
 
   [[nodiscard]] bool identical(const CollisionStudyResult& o) const {
     return points == o.points && metrics == o.metrics;
@@ -129,10 +129,8 @@ struct CollisionStudyResult {
   }
   const auto obs =
       runtime::run_deterministic_batches(std::move(tasks), cfg.threads == 0 ? 1 : cfg.threads);
-  if constexpr (obs::kEnabled) {
-    out.metrics.merge(obs.metrics);
-    out.trace.insert(out.trace.end(), obs.spans.begin(), obs.spans.end());
-  }
+  out.metrics.merge(obs.metrics);
+  out.trace.insert(out.trace.end(), obs.spans.begin(), obs.spans.end());
 
   for (std::size_t i = 0; i < cfg.interferer_gains.size(); ++i) {
     out.points[i].interferer_gain = cfg.interferer_gains[i];

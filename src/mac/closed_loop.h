@@ -81,7 +81,7 @@ struct ClosedLoopPoint {
 
 struct ClosedLoopResult {
   std::vector<ClosedLoopPoint> points;
-  obs::MetricsRegistry metrics;  ///< probe + controller metrics (RT_OBS builds)
+  obs::MetricsRegistry metrics;  ///< probe + controller metrics
 
   /// Bitwise equality of everything data-derived: the serial-vs-parallel
   /// acceptance check of the bench.
@@ -141,16 +141,11 @@ struct ClosedLoopResult {
           probes[i][static_cast<std::size_t>(p)] = {r.preamble_found, r.snr_estimate_db};
         }
       }
-#if RT_OBS_ENABLED
       out.metrics.merge(ws.obs.metrics);
-#endif
     }
   } else {
     runtime::ThreadPool pool(workers);
-    struct TaskOut {
-      obs::MetricsRegistry metrics;  // empty unless RT_OBS=ON
-    };
-    std::vector<std::future<TaskOut>> tasks;
+    std::vector<std::future<obs::MetricsRegistry>> tasks;
     constexpr int kBatch = 4;
     for (std::size_t i = 0; i < cfg.distances_m.size(); ++i) {
       // The simulator is shared by all batches of its point (run_packet is
@@ -161,7 +156,6 @@ struct ClosedLoopResult {
         const int end = std::min(begin + kBatch, cfg.probe_packets);
         tasks.push_back(pool.submit([&probes, &cfg, sim, i, begin, end] {
           static thread_local sim::PacketWorkspace ws;
-          TaskOut t;
           ws.obs.clear();
           const obs::ScopedBind bind(ws.obs);
           {
@@ -172,17 +166,11 @@ struct ClosedLoopResult {
               probes[i][static_cast<std::size_t>(p)] = {r.preamble_found, r.snr_estimate_db};
             }
           }
-#if RT_OBS_ENABLED
-          t.metrics = ws.obs.metrics;
-#endif
-          return t;
+          return ws.obs.metrics;
         }));
       }
     }
-    for (auto& f : tasks) {
-      auto t = f.get();
-      if constexpr (obs::kEnabled) out.metrics.merge(t.metrics);
-    }
+    for (auto& f : tasks) out.metrics.merge(f.get());
   }
 
   // Phase 2: serial control loop per point, in packet order -- the
@@ -225,9 +213,7 @@ struct ClosedLoopResult {
                                                   cfg.goodput_payload_bytes);
     }
   }
-#if RT_OBS_ENABLED
   out.metrics.merge(control_rec.metrics);
-#endif
   return out;
 }
 

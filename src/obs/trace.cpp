@@ -1,10 +1,12 @@
 #include "obs/trace.h"
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
+#include <system_error>
 
-// rt-lint: no-preconditions (clock/ordinal helpers take no caller input)
+// rt-lint: no-preconditions (no caller input, except parse_capacity: malformed text -> 0)
 
 namespace rt::obs {
 
@@ -25,11 +27,17 @@ std::uint32_t thread_ordinal() noexcept {
 }
 
 std::size_t TraceBuffer::default_capacity() {
-  if (const char* v = std::getenv("RT_OBS_SPAN_CAPACITY"); v != nullptr && *v != '\0') {
-    const long n = std::atol(v);
-    if (n > 0) return static_cast<std::size_t>(n);
-  }
-  return kDefaultCapacity;
+  const char* v = std::getenv("RT_OBS_SPAN_CAPACITY");
+  return v == nullptr ? 0 : parse_capacity(v);
+}
+
+std::size_t TraceBuffer::parse_capacity(std::string_view text) noexcept {
+  std::size_t n = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), n);
+  if (ec != std::errc{} || end != text.data() + text.size()) return 0;
+  // reserve() throws beyond max_size(); such a value would otherwise
+  // escape from every recorder constructor, thread_local ones included.
+  return n <= std::vector<SpanRecord>().max_size() ? n : 0;
 }
 
 TraceBuffer::TraceBuffer(std::size_t capacity) : capacity_(capacity) {

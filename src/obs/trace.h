@@ -11,21 +11,18 @@
 //
 //   obs::ScopedBind bind(ws.obs);   // thread-local current recorder
 //
-// Cost model:
-//   - RT_OBS=OFF (default): RT_TRACE_SPAN and the RT_OBS_* macros expand
-//     to `static_cast<void>(sizeof ...)` -- no code, no data, no
-//     dependencies; Recorder is an empty struct so carrying one in
-//     PacketWorkspace is free. This mirrors the contract layer's
-//     disabled-macro idiom in common/error.h.
-//   - RT_OBS=ON: a span is two steady_clock reads plus one push into a
-//     TraceBuffer that was fully reserved at construction -- zero
-//     steady-state heap allocations (tests/test_alloc.cpp runs against
-//     this build in CI). Span names must be string literals (the buffer
-//     stores the pointer, not a copy).
-//
-// The data types (SpanRecord, TraceBuffer) are compiled in both builds so
-// exporters, sweep results and tests keep one API; only the recording
-// machinery (Recorder, ScopedBind, SpanScope) changes shape.
+// Cost model (every build records; there is no compile-time switch):
+//   - Counters and histograms (RT_OBS_COUNT / RT_OBS_OBSERVE) always
+//     record into the bound recorder: a thread-local load, a null check
+//     and a fixed-array add.
+//   - A span records only into a recorder whose TraceBuffer has capacity.
+//     The default capacity is 0 unless RT_OBS_SPAN_CAPACITY is set, so a
+//     span that is off costs one pointer-and-capacity check and no
+//     memory. A span that is on is two steady_clock reads plus one push
+//     into a buffer reserved at construction -- zero steady-state heap
+//     allocations (tests/test_alloc.cpp runs with spans off and on).
+//     Span names must be string literals (the buffer stores the pointer,
+//     not a copy).
 //
 // Span names are part of the documented telemetry schema: every name used
 // in src/ or bench/ must appear in docs/TELEMETRY.md (enforced by
@@ -35,19 +32,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
 
-#if !defined(RT_OBS_ENABLED)
-#define RT_OBS_ENABLED 0
-#endif
-
 namespace rt::obs {
-
-/// True when the observability layer is compiled into the hot path
-/// (CMake -DRT_OBS=ON). Usable in `if constexpr` from either build.
-inline constexpr bool kEnabled = RT_OBS_ENABLED != 0;
 
 /// One closed span. Records are emitted at scope *exit*, so a buffer
 /// holds spans in closing order (children before their parent).
@@ -62,17 +52,21 @@ struct SpanRecord {
 
 /// Fixed-capacity span sink. All storage is reserved at construction, so
 /// push() never allocates; once full, further spans are counted as
-/// dropped instead of grown into. Defined in every build (exporters and
-/// tests use it directly) but only fed by the macros when RT_OBS is on.
+/// dropped instead of grown into. A zero-capacity buffer switches the
+/// spans of its recorder off (SpanScope skips it entirely).
 class TraceBuffer {
  public:
-  static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 15;
-
   explicit TraceBuffer(std::size_t capacity = default_capacity());
 
-  /// kDefaultCapacity, overridable via the RT_OBS_SPAN_CAPACITY
-  /// environment variable (read once per buffer construction -- cold).
+  /// parse_capacity() of the RT_OBS_SPAN_CAPACITY environment variable,
+  /// 0 (spans off) when it is unset. Read once per buffer construction
+  /// (cold).
   [[nodiscard]] static std::size_t default_capacity();
+
+  /// `text` as a whole-string decimal span count. Anything else (empty,
+  /// signed, suffixed or exponent forms, or more spans than a buffer can
+  /// reserve) yields 0, i.e. spans off.
+  [[nodiscard]] static std::size_t parse_capacity(std::string_view text) noexcept;
 
   /// Appends a record; returns false (and counts a drop) when full.
   bool push(const SpanRecord& rec) noexcept;
@@ -98,8 +92,6 @@ class TraceBuffer {
 
 /// Dense ordinal of the calling thread (0, 1, 2, ... in first-use order).
 [[nodiscard]] std::uint32_t thread_ordinal() noexcept;
-
-#if RT_OBS_ENABLED
 
 /// The per-worker recording context: spans + metrics owned by exactly one
 /// thread at a time. Embedded in sim::PacketWorkspace so every pipeline
@@ -142,11 +134,15 @@ class ScopedBind {
 };
 
 /// RAII stage timer; emits one SpanRecord into the bound recorder on
-/// destruction. No-op (and cheap) when no recorder is bound.
+/// destruction. No-op (and cheap) when no recorder is bound or the bound
+/// recorder has no span storage.
 class SpanScope {
  public:
   explicit SpanScope(const char* name) noexcept : rec_(detail::current_slot()) {
-    if (rec_ == nullptr) return;
+    if (rec_ == nullptr || rec_->trace.capacity() == 0) {
+      rec_ = nullptr;  // spans off: the destructor does nothing
+      return;
+    }
     name_ = name;
     depth_ = rec_->open_depth++;
     start_ns_ = now_ns();
@@ -175,49 +171,17 @@ inline void observe(Histogram h, double v) noexcept {
   if (Recorder* r = detail::current_slot()) r->metrics.observe(h, v);
 }
 
-#else  // !RT_OBS_ENABLED -- observability compiled out
-
-/// Zero-size placeholder so workspaces can embed a Recorder member
-/// unconditionally. test_obs static_asserts that it stays empty.
-struct Recorder {
-  void clear() noexcept {}
-};
-
-/// Accepts (and ignores) a Recorder so call sites compile unchanged.
-class ScopedBind {
- public:
-  explicit ScopedBind(Recorder& /*unused*/) noexcept {}
-  ScopedBind(const ScopedBind&) = delete;
-  ScopedBind& operator=(const ScopedBind&) = delete;
-};
-
-inline void add_count(Counter /*c*/, std::uint64_t /*n*/) noexcept {}
-inline void observe(Histogram /*h*/, double /*v*/) noexcept {}
-
-#endif  // RT_OBS_ENABLED
-
 }  // namespace rt::obs
 
 // --- Instrumentation macros -------------------------------------------------
-// The disabled forms evaluate nothing but keep the operands parsed (the
-// same `sizeof` trick as RT_ASSERT in common/error.h), so code cannot
-// compile in one configuration and break in the other.
 
 #define RT_OBS_CONCAT_IMPL(a, b) a##b
 #define RT_OBS_CONCAT(a, b) RT_OBS_CONCAT_IMPL(a, b)
 
-#if RT_OBS_ENABLED
 /// Times the enclosing scope as stage `name` (a string literal; must be
 /// documented in docs/TELEMETRY.md).
 #define RT_TRACE_SPAN(name) \
   const ::rt::obs::SpanScope RT_OBS_CONCAT(rt_obs_span_, __LINE__)(name)
-#else
-#define RT_TRACE_SPAN(name) static_cast<void>(sizeof(name))
-#endif  // RT_OBS_ENABLED
-
-// Counter/histogram macros expand identically in both builds -- the
-// disabled build's add_count/observe are empty inline functions, so the
-// enumerator is always name-checked yet the call optimizes away.
 
 /// Adds `n` to counter `c` (an ::rt::obs::Counter enumerator).
 #define RT_OBS_COUNT(c, n) ::rt::obs::add_count(::rt::obs::Counter::c, (n))

@@ -22,10 +22,9 @@
 
 namespace rt::runtime {
 
-/// One task's observability snapshot: empty unless RT_OBS=ON. Merging is
-/// associative (integer sums + append), so merging snapshots in
-/// submission order yields the same registry and trace regardless of
-/// which worker ran which task.
+/// One task's observability snapshot. Merging is associative (integer
+/// sums + append), so merging snapshots in submission order yields the
+/// same registry and trace regardless of which worker ran which task.
 struct BatchObs {
   obs::MetricsRegistry metrics;
   std::vector<obs::SpanRecord> spans;
@@ -51,11 +50,9 @@ template <typename Work>
     const obs::ScopedBind bind(rec);
     std::forward<Work>(work)();
   }
-#if RT_OBS_ENABLED
   out.metrics = rec.metrics;
   const auto spans = rec.trace.spans();
   out.spans.assign(spans.begin(), spans.end());
-#endif
   return out;
 }
 

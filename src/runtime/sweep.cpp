@@ -49,8 +49,8 @@ SweepResult parallel_sweep(std::span<const SweepPoint> points, const SweepOption
   const std::size_t payload = options.payload_bytes;
   struct BatchOut {
     sim::LinkStats stats;
-    obs::MetricsRegistry metrics;       // empty unless RT_OBS=ON
-    std::vector<obs::SpanRecord> spans;  // empty unless RT_OBS=ON
+    obs::MetricsRegistry metrics;
+    std::vector<obs::SpanRecord> spans;  // empty unless the worker records spans
   };
   struct Batch {
     std::size_t point;
@@ -60,8 +60,8 @@ SweepResult parallel_sweep(std::span<const SweepPoint> points, const SweepOption
   for (std::size_t i = 0; i < points.size(); ++i) {
     for (int begin = 0; begin < options.packets; begin += batch) {
       const int end = std::min(begin + batch, options.packets);
-      // Submit timestamp for the queue-wait metric (observability builds).
-      const std::int64_t submit_ns = obs::kEnabled ? obs::now_ns() : 0;
+      // Submit timestamp for the queue-wait metric.
+      const std::int64_t submit_ns = obs::now_ns();
       auto task = [sim = sims[i], begin, end, payload, submit_ns] {
         // One packet workspace per worker thread, reused across batches
         // and sweeps: the packet pipeline stays allocation-free in steady
@@ -77,9 +77,7 @@ SweepResult parallel_sweep(std::span<const SweepPoint> points, const SweepOption
           const obs::ScopedBind obs_bind(ws.obs);
           RT_TRACE_SPAN("sweep_batch");
           RT_OBS_COUNT(kSweepBatches, 1);
-          if constexpr (obs::kEnabled)
-            RT_OBS_OBSERVE(kQueueWaitUs,
-                           static_cast<double>(obs::now_ns() - submit_ns) / 1e3);
+          RT_OBS_OBSERVE(kQueueWaitUs, static_cast<double>(obs::now_ns() - submit_ns) / 1e3);
           for (int p = begin; p < end; ++p) {
             const auto outcome = sim->run_packet(static_cast<std::uint64_t>(p), payload, ws);
             ++out.stats.packets;
@@ -88,11 +86,9 @@ SweepResult parallel_sweep(std::span<const SweepPoint> points, const SweepOption
             out.stats.total_bits += outcome.bits;
           }
         }  // the sweep_batch span closes here, before the snapshot
-#if RT_OBS_ENABLED
         out.metrics = ws.obs.metrics;
         const auto spans = ws.obs.trace.spans();
         out.spans.assign(spans.begin(), spans.end());
-#endif
         return out;
       };
       batches.push_back({i, pool.submit(std::move(task))});
@@ -107,10 +103,8 @@ SweepResult parallel_sweep(std::span<const SweepPoint> points, const SweepOption
   for (auto& b : batches) {
     auto out = b.out.get();
     result.stats[b.point].merge(out.stats);
-    if constexpr (obs::kEnabled) {
-      result.metrics.merge(out.metrics);
-      result.trace.insert(result.trace.end(), out.spans.begin(), out.spans.end());
-    }
+    result.metrics.merge(out.metrics);
+    result.trace.insert(result.trace.end(), out.spans.begin(), out.spans.end());
   }
 
   result.wall_s = std::chrono::duration<double>(Clock::now() - start).count();

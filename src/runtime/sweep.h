@@ -40,12 +40,12 @@ struct SweepResult {
   double wall_s = 0.0;                ///< wall-clock time of the sweep
   unsigned threads = 1;               ///< workers actually used
 
-  // Observability (populated only when built with RT_OBS=ON; empty
-  // otherwise). Each batch task records into its worker's recorder and
-  // returns a snapshot with its stats; the snapshots are merged here.
+  // Observability. Each batch task records into its worker's recorder
+  // and returns a snapshot with its stats; the snapshots are merged here.
   // Data-derived metrics are bit-identical at any thread count (the
   // LinkStats::merge discipline); timing samples (queue_wait_us, span
-  // durations) are wall-clock and vary run to run.
+  // durations) are wall-clock and vary run to run. `trace` stays empty
+  // unless the worker recorders have span storage (RT_OBS_SPAN_CAPACITY).
   obs::MetricsRegistry metrics;
   std::vector<obs::SpanRecord> trace;  ///< all batch spans, submission order
 };

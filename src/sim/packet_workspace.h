@@ -47,7 +47,6 @@ struct PacketWorkspace {
 
   // Observability. The pipeline binds this recorder (thread-local) for
   // the duration of each packet, so stage spans and metrics land here.
-  // Empty (zero-size, zero-cost) unless built with RT_OBS=ON.
   obs::Recorder obs;
 };
 

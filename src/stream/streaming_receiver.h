@@ -91,8 +91,7 @@ class FrameSink {
   virtual void on_frame(const StreamFrame& frame) = 0;
 };
 
-/// Always-compiled receiver statistics (the obs counters mirror these
-/// when RT_OBS=ON, but scenario tests must not depend on the obs build).
+/// Receiver statistics, mirrored by the stream_* obs counters.
 struct StreamStats {
   std::uint64_t samples_pushed = 0;
   std::uint64_t frames_decoded = 0;
@@ -128,7 +127,7 @@ class StreamingReceiver {
   enum class State { kSearching, kSynced, kDecoding };
   [[nodiscard]] State state() const { return state_; }
 
-  /// Stage spans/counters recorded while pushing (RT_OBS builds).
+  /// Stage spans/counters recorded while pushing.
   [[nodiscard]] obs::Recorder& recorder() { return obs_; }
 
  private:

@@ -5,8 +5,10 @@
 // (LinkSimulator::run_packet through a reused PacketWorkspace) performs
 // ZERO heap allocations. This is the contract the workspace refactor
 // exists to provide; any new allocation on the steady-state path fails
-// this test. Lives in its own binary because the operator new/delete
-// replacement is process-global.
+// this test. Each steady-state case runs twice, with spans off (the
+// default) and with a span buffer attached, and checks that the bound
+// recorder's counters advanced. Lives in its own binary because the
+// operator new/delete replacement is process-global.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +18,7 @@
 #include <new>
 
 #include "common/units.h"
+#include "obs/trace.h"
 #include "sim/coded_link.h"
 #include "sim/link_sim.h"
 #include "sim/packet_workspace.h"
@@ -77,6 +80,10 @@ phy::PhyParams fast_params() {
   return p;
 }
 
+/// Span storage for each steady-state case: none (spans off, the
+/// default), then a buffer large enough that no span of the case drops.
+constexpr std::size_t kSpanCapacities[] = {0, 4096};
+
 TEST(AllocationRegression, CounterObservesOrdinaryAllocations) {
   g_allocs.store(0);
   g_counting.store(true);
@@ -100,34 +107,45 @@ TEST(AllocationRegression, SteadyStatePacketPipelineIsAllocationFree) {
   so.offline_yaws_deg = {0.0};
   const LinkSimulator sim(p, p.tag_config(), ch, so);
 
-  PacketWorkspace ws;
-  // Warm-up: one pass over the packet indices the measured phase replays,
-  // so every buffer has reached its steady-state capacity.
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    const auto out = sim.run_packet(i, 8, ws);
-    ASSERT_TRUE(out.preamble_found) << "packet " << i << " must decode for full-path coverage";
-  }
+  for (const std::size_t spans : kSpanCapacities) {
+    SCOPED_TRACE(testing::Message() << "span capacity " << spans);
+    PacketWorkspace ws;
+    ws.obs.trace = obs::TraceBuffer(spans);
+    // Warm-up: one pass over the packet indices the measured phase
+    // replays, so every buffer has reached its steady-state capacity.
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      const auto out = sim.run_packet(i, 8, ws);
+      ASSERT_TRUE(out.preamble_found) << "packet " << i << " must decode for full-path coverage";
+    }
+    const std::uint64_t packets_before = ws.obs.metrics.count(obs::Counter::kPacketsSimulated);
+    const std::uint64_t dfe_before = ws.obs.metrics.count(obs::Counter::kDfeBranchesExpanded);
+    const std::size_t spans_before = ws.obs.trace.size();
 
-  g_allocs.store(0);
-  g_counting.store(true);
-  std::size_t errors = 0;
-  bool all_found = true;
-  bool estimates_finite = true;
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    const auto out = sim.run_packet(i, 8, ws);
-    all_found = all_found && out.preamble_found;
-    // The closed rate-adaptation loop reads this per packet; producing it
-    // must cost no allocations and always be finite.
-    estimates_finite = estimates_finite && std::isfinite(out.snr_estimate_db);
-    errors += out.bit_errors;
-  }
-  g_counting.store(false);
+    g_allocs.store(0);
+    g_counting.store(true);
+    std::size_t errors = 0;
+    bool all_found = true;
+    bool estimates_finite = true;
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      const auto out = sim.run_packet(i, 8, ws);
+      all_found = all_found && out.preamble_found;
+      // The closed rate-adaptation loop reads this per packet; producing
+      // it must cost no allocations and always be finite.
+      estimates_finite = estimates_finite && std::isfinite(out.snr_estimate_db);
+      errors += out.bit_errors;
+    }
+    g_counting.store(false);
 
-  EXPECT_TRUE(all_found);
-  EXPECT_TRUE(estimates_finite) << "per-packet SNR estimate must be finite";
-  EXPECT_EQ(g_allocs.load(), 0u)
-      << "the steady-state packet pipeline allocated on the heap (" << g_allocs.load()
-      << " allocations across 3 packets; total bit errors " << errors << ")";
+    EXPECT_TRUE(all_found);
+    EXPECT_TRUE(estimates_finite) << "per-packet SNR estimate must be finite";
+    EXPECT_EQ(g_allocs.load(), 0u)
+        << "the steady-state packet pipeline allocated on the heap (" << g_allocs.load()
+        << " allocations across 3 packets; total bit errors " << errors << ")";
+    EXPECT_EQ(ws.obs.metrics.count(obs::Counter::kPacketsSimulated) - packets_before, 3u);
+    EXPECT_GT(ws.obs.metrics.count(obs::Counter::kDfeBranchesExpanded), dfe_before);
+    EXPECT_EQ(ws.obs.trace.size() > spans_before, spans > 0);
+    EXPECT_EQ(ws.obs.trace.dropped(), 0u);
+  }
 }
 
 TEST(AllocationRegression, SteadyStateCodedPacketPipelineIsAllocationFree) {
@@ -153,37 +171,50 @@ TEST(AllocationRegression, SteadyStateCodedPacketPipelineIsAllocationFree) {
   const CodedLink cc(sim, cc_cfg);
   const CodedLink rs(sim, rs_cfg);
 
-  // One workspace per frame shape (the bench's usage: each campaign owns
-  // its workspace). Alternating coded sizes through a single workspace
-  // would legitimately rebuild the layout-keyed caches every packet.
-  PacketWorkspace cc_ws;
-  PacketWorkspace rs_ws;  // soft and hard share one shape, hence one ws
-  const auto run_once = [&](std::size_t& errors) {
-    for (std::uint64_t i = 0; i < 2; ++i) {
-      const auto a = cc.run_packet(i, 8, cc_ws, CodedLink::DecodeMode::kSoft);
-      const auto b = rs.run_packet(i, 8, rs_ws, CodedLink::DecodeMode::kSoft);
-      const auto c = rs.run_packet(i, 8, rs_ws, CodedLink::DecodeMode::kHard);
-      ASSERT_TRUE(a.preamble_found && b.preamble_found && c.preamble_found)
-          << "packet " << i << " must decode for full-path coverage";
-      errors += a.info_bit_errors + b.info_bit_errors + c.info_bit_errors;
-    }
-  };
+  for (const std::size_t spans : kSpanCapacities) {
+    SCOPED_TRACE(testing::Message() << "span capacity " << spans);
+    // One workspace per frame shape (the bench's usage: each campaign
+    // owns its workspace). Alternating coded sizes through a single
+    // workspace would legitimately rebuild the layout-keyed caches every
+    // packet.
+    PacketWorkspace cc_ws;
+    PacketWorkspace rs_ws;  // soft and hard share one shape, hence one ws
+    cc_ws.obs.trace = obs::TraceBuffer(spans);
+    rs_ws.obs.trace = obs::TraceBuffer(spans);
+    const auto run_once = [&](std::size_t& errors) {
+      for (std::uint64_t i = 0; i < 2; ++i) {
+        const auto a = cc.run_packet(i, 8, cc_ws, CodedLink::DecodeMode::kSoft);
+        const auto b = rs.run_packet(i, 8, rs_ws, CodedLink::DecodeMode::kSoft);
+        const auto c = rs.run_packet(i, 8, rs_ws, CodedLink::DecodeMode::kHard);
+        ASSERT_TRUE(a.preamble_found && b.preamble_found && c.preamble_found)
+            << "packet " << i << " must decode for full-path coverage";
+        errors += a.info_bit_errors + b.info_bit_errors + c.info_bit_errors;
+      }
+    };
 
-  // Warm-up replays the exact packet indices of the measured phase, so
-  // the deterministic decode paths (GMD retries included) are identical.
-  std::size_t warm_errors = 0;
-  run_once(warm_errors);
+    // Warm-up replays the exact packet indices of the measured phase, so
+    // the deterministic decode paths (GMD retries included) are identical.
+    std::size_t warm_errors = 0;
+    run_once(warm_errors);
+    const std::uint64_t cc_before = cc_ws.obs.metrics.count(obs::Counter::kCodedFrames);
+    const std::uint64_t rs_before = rs_ws.obs.metrics.count(obs::Counter::kCodedFrames);
+    const std::size_t spans_before = cc_ws.obs.trace.size();
 
-  g_allocs.store(0);
-  g_counting.store(true);
-  std::size_t errors = 0;
-  run_once(errors);
-  g_counting.store(false);
+    g_allocs.store(0);
+    g_counting.store(true);
+    std::size_t errors = 0;
+    run_once(errors);
+    g_counting.store(false);
 
-  EXPECT_EQ(errors, warm_errors) << "replayed packets must be bit-identical";
-  EXPECT_EQ(g_allocs.load(), 0u)
-      << "the steady-state coded packet pipeline allocated on the heap (" << g_allocs.load()
-      << " allocations across 6 coded frames)";
+    EXPECT_EQ(errors, warm_errors) << "replayed packets must be bit-identical";
+    EXPECT_EQ(g_allocs.load(), 0u)
+        << "the steady-state coded packet pipeline allocated on the heap (" << g_allocs.load()
+        << " allocations across 6 coded frames)";
+    EXPECT_EQ(cc_ws.obs.metrics.count(obs::Counter::kCodedFrames) - cc_before, 2u);
+    EXPECT_EQ(rs_ws.obs.metrics.count(obs::Counter::kCodedFrames) - rs_before, 4u);
+    EXPECT_EQ(cc_ws.obs.trace.size() > spans_before, spans > 0);
+    EXPECT_EQ(cc_ws.obs.trace.dropped() + rs_ws.obs.trace.dropped(), 0u);
+  }
 }
 
 TEST(AllocationRegression, SteadyStateStreamingReceiverIsAllocationFree) {
@@ -204,32 +235,47 @@ TEST(AllocationRegression, SteadyStateStreamingReceiverIsAllocationFree) {
 
   stream::StreamOptions opts;
   opts.payload_slots = truth.payload_slots;
-  stream::StreamingReceiver rx(sim.demodulator(), opts);
   struct CountSink final : stream::FrameSink {
     std::uint64_t frames = 0;
     void on_frame(const stream::StreamFrame&) override { ++frames; }
-  } sink;
-  const auto run_once = [&] {
-    const std::span<const sig::Complex> all(truth.waveform.samples);
-    for (std::size_t off = 0; off < all.size(); off += 777)
-      rx.push_samples(all.subspan(off, std::min<std::size_t>(777, all.size() - off)), sink);
-    rx.flush(sink);
   };
 
-  // Warm-up stream: every scratch buffer (scan spans, decode window, the
-  // inner packet-pipeline workspace) reaches steady-state capacity.
-  run_once();
-  ASSERT_EQ(sink.frames, 3u) << "warm-up stream must decode for full-path coverage";
+  for (const std::size_t spans : kSpanCapacities) {
+    SCOPED_TRACE(testing::Message() << "span capacity " << spans);
+    stream::StreamingReceiver rx(sim.demodulator(), opts);
+    rx.recorder().trace = obs::TraceBuffer(spans);
+    CountSink sink;
+    const auto run_once = [&] {
+      const std::span<const sig::Complex> all(truth.waveform.samples);
+      for (std::size_t off = 0; off < all.size(); off += 777)
+        rx.push_samples(all.subspan(off, std::min<std::size_t>(777, all.size() - off)), sink);
+      rx.flush(sink);
+    };
 
-  g_allocs.store(0);
-  g_counting.store(true);
-  run_once();
-  g_counting.store(false);
+    // Warm-up stream: every scratch buffer (scan spans, decode window, the
+    // inner packet-pipeline workspace) reaches steady-state capacity.
+    run_once();
+    ASSERT_EQ(sink.frames, 3u) << "warm-up stream must decode for full-path coverage";
+    const obs::Recorder& rec = rx.recorder();
+    const std::uint64_t frames_before = rec.metrics.count(obs::Counter::kStreamFramesDecoded);
+    const std::uint64_t samples_before = rec.metrics.count(obs::Counter::kStreamSamplesPushed);
+    const std::size_t spans_before = rec.trace.size();
 
-  EXPECT_EQ(sink.frames, 6u);
-  EXPECT_EQ(g_allocs.load(), 0u)
-      << "the steady-state streaming receiver allocated on the heap (" << g_allocs.load()
-      << " allocations across one stream of 3 frames)";
+    g_allocs.store(0);
+    g_counting.store(true);
+    run_once();
+    g_counting.store(false);
+
+    EXPECT_EQ(sink.frames, 6u);
+    EXPECT_EQ(g_allocs.load(), 0u)
+        << "the steady-state streaming receiver allocated on the heap (" << g_allocs.load()
+        << " allocations across one stream of 3 frames)";
+    EXPECT_EQ(rec.metrics.count(obs::Counter::kStreamFramesDecoded) - frames_before, 3u);
+    EXPECT_EQ(rec.metrics.count(obs::Counter::kStreamSamplesPushed) - samples_before,
+              truth.waveform.samples.size());
+    EXPECT_EQ(rec.trace.size() > spans_before, spans > 0);
+    EXPECT_EQ(rec.trace.dropped(), 0u);
+  }
 }
 
 }  // namespace

@@ -1,23 +1,18 @@
 // Tests for the observability layer (src/obs): histogram bucketing, the
-// associative/commutative metrics merge, the fixed-capacity TraceBuffer,
-// span nesting, the exporters, and -- when built with RT_OBS=ON -- that
-// the instrumented pipeline records identical metrics at any thread count
-// while leaving the simulated stats untouched.
-//
-// This binary is built in BOTH configurations: the default (RT_OBS=OFF)
-// build checks that the disabled layer stays zero-size and that the
-// macros still compile, and the `obs` preset build exercises the live
-// recording path. Tests that need a live recorder are compiled under
-// RT_OBS_ENABLED.
+// associative/commutative metrics merge, the fixed-capacity TraceBuffer
+// and its RT_OBS_SPAN_CAPACITY switch, span nesting, the exporters, and
+// that the instrumented pipeline records identical metrics at any thread
+// count while leaving the simulated stats untouched.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "common/units.h"
@@ -28,15 +23,37 @@
 namespace rt::obs {
 namespace {
 
-// The build-shape contract: RT_OBS=OFF must cost nothing, so the Recorder
-// every PacketWorkspace embeds has to stay an empty type.
-#if RT_OBS_ENABLED
-static_assert(kEnabled, "RT_OBS_ENABLED build must report kEnabled");
-#else
-static_assert(!kEnabled, "default build must report !kEnabled");
-static_assert(std::is_empty_v<Recorder>,
-              "disabled-build Recorder must stay zero-size so PacketWorkspace pays nothing");
-#endif
+/// Sets RT_OBS_SPAN_CAPACITY (or unsets it, for nullopt) for one scope
+/// and restores the caller's value on exit, so a developer's environment
+/// cannot leak into these tests.
+class ScopedSpanCapacityEnv {
+ public:
+  explicit ScopedSpanCapacityEnv(std::optional<std::string> value) {
+    if (const char* old = std::getenv(kVar)) saved_ = old;
+    apply(value);
+  }
+  ~ScopedSpanCapacityEnv() { apply(saved_); }
+  ScopedSpanCapacityEnv(const ScopedSpanCapacityEnv&) = delete;
+  ScopedSpanCapacityEnv& operator=(const ScopedSpanCapacityEnv&) = delete;
+
+ private:
+  static constexpr const char* kVar = "RT_OBS_SPAN_CAPACITY";
+  static void apply(const std::optional<std::string>& v) {
+    if (v) {
+      ::setenv(kVar, v->c_str(), 1);
+    } else {
+      ::unsetenv(kVar);
+    }
+  }
+  std::optional<std::string> saved_;
+};
+
+/// A recorder with room for `spans` span records (spans on).
+Recorder recorder_with_spans(std::size_t spans) {
+  Recorder rec;
+  rec.trace = TraceBuffer(spans);
+  return rec;
+}
 
 // ---------------------------------------------------------------------------
 // HistogramData
@@ -181,14 +198,36 @@ TEST(TraceBufferTest, DropsBeyondCapacityAndCounts) {
 }
 
 TEST(TraceBufferTest, DefaultCapacityIsHonored) {
-  const TraceBuffer buf;
-  EXPECT_EQ(buf.capacity(), TraceBuffer::default_capacity());
-  EXPECT_GT(buf.capacity(), 0u);
+  {
+    // Unset: spans are off and a buffer reserves nothing.
+    const ScopedSpanCapacityEnv env(std::nullopt);
+    EXPECT_EQ(TraceBuffer::default_capacity(), 0u);
+    EXPECT_EQ(TraceBuffer().capacity(), 0u);
+  }
+  {
+    const ScopedSpanCapacityEnv env("64");
+    EXPECT_EQ(TraceBuffer().capacity(), 64u);
+  }
+  // A malformed value reads as unset.
+  const ScopedSpanCapacityEnv env("64k");
+  EXPECT_EQ(TraceBuffer().capacity(), 0u);
+}
+
+TEST(TraceBufferTest, ParseCapacityAcceptsOnlyWholeDecimalCounts) {
+  EXPECT_EQ(TraceBuffer::parse_capacity(""), 0u);
+  EXPECT_EQ(TraceBuffer::parse_capacity("0"), 0u);
+  EXPECT_EQ(TraceBuffer::parse_capacity("64"), 64u);
+  EXPECT_EQ(TraceBuffer::parse_capacity("64k"), 0u);
+  EXPECT_EQ(TraceBuffer::parse_capacity("-1"), 0u);
+  EXPECT_EQ(TraceBuffer::parse_capacity("1e6"), 0u);
+  EXPECT_EQ(TraceBuffer::parse_capacity("123456789012345678901234567890"), 0u);
+  // Fits in size_t, but no span buffer can reserve that many records.
+  const std::size_t too_many = std::vector<SpanRecord>().max_size() + 1;
+  EXPECT_EQ(TraceBuffer::parse_capacity(std::to_string(too_many)), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Instrumentation macros: must compile and be harmless in every build,
-// with or without a bound recorder.
+// Instrumentation macros: harmless with or without a bound recorder.
 
 TEST(MacroTest, MacrosAreSafeWithNoRecorderBound) {
   RT_TRACE_SPAN("unbound_test");
@@ -198,7 +237,7 @@ TEST(MacroTest, MacrosAreSafeWithNoRecorderBound) {
 }
 
 // ---------------------------------------------------------------------------
-// Exporters (span/metrics types exist in both builds).
+// Exporters.
 
 std::string slurp(const std::filesystem::path& p) {
   std::ifstream in(p);
@@ -339,9 +378,11 @@ void zero_nondeterministic(MetricsRegistry& m) {
   m.counters[static_cast<std::size_t>(Counter::kTraceSpansDropped)] = 0;
 }
 
-TEST(ObsSweepTest, StatsMatchAcrossThreadCountsWithObsCompiledEither) {
-  // The sweep's simulated stats must not depend on the observability
-  // build or the thread count; this runs in both configurations.
+TEST(ObsSweepTest, StatsAndMetricsMatchAcrossThreadCounts) {
+  // The sweep's simulated stats and data-derived metrics must not depend
+  // on the thread count. Spans are switched on for the worker recorders,
+  // which each private pool creates on fresh threads.
+  const ScopedSpanCapacityEnv env("4096");
   const auto points = fast_points();
   runtime::SweepOptions so;
   so.packets = 4;
@@ -358,7 +399,6 @@ TEST(ObsSweepTest, StatsMatchAcrossThreadCountsWithObsCompiledEither) {
     EXPECT_EQ(serial.stats[i].total_bits, parallel.stats[i].total_bits);
   }
 
-#if RT_OBS_ENABLED
   // Data-derived metrics are bit-identical at any thread count once the
   // wall-clock-fed pieces are zeroed out.
   MetricsRegistry a = serial.metrics;
@@ -375,18 +415,12 @@ TEST(ObsSweepTest, StatsMatchAcrossThreadCountsWithObsCompiledEither) {
   EXPECT_GT(a.count(Counter::kTrainingSolves), 0u);
   EXPECT_FALSE(serial.trace.empty());
   EXPECT_FALSE(parallel.trace.empty());
-#else
-  // RT_OBS=OFF: the sweep result carries no observability payload.
-  EXPECT_TRUE(serial.metrics.empty());
-  EXPECT_TRUE(serial.trace.empty());
-  EXPECT_TRUE(parallel.trace.empty());
-#endif
+  EXPECT_EQ(serial.metrics.count(Counter::kTraceSpansDropped), 0u);
+  EXPECT_EQ(parallel.metrics.count(Counter::kTraceSpansDropped), 0u);
 }
 
-#if RT_OBS_ENABLED
-
 TEST(SpanScopeTest, RecordsNestedSpansInClosingOrder) {
-  Recorder rec;
+  Recorder rec = recorder_with_spans(16);
   {
     const ScopedBind bind(rec);
     RT_TRACE_SPAN("outer_test");
@@ -407,15 +441,15 @@ TEST(SpanScopeTest, RecordsNestedSpansInClosingOrder) {
 }
 
 TEST(SpanScopeTest, UnboundSpansRecordNothing) {
-  Recorder rec;
+  const Recorder rec = recorder_with_spans(16);
   { RT_TRACE_SPAN("never_bound_test"); }
   EXPECT_EQ(rec.trace.size(), 0u);
   EXPECT_EQ(current_recorder(), nullptr);
 }
 
 TEST(SpanScopeTest, BindingNestsAndRestores) {
-  Recorder a;
-  Recorder b;
+  Recorder a = recorder_with_spans(16);
+  Recorder b = recorder_with_spans(16);
   {
     const ScopedBind bind_a(a);
     EXPECT_EQ(current_recorder(), &a);
@@ -432,7 +466,7 @@ TEST(SpanScopeTest, BindingNestsAndRestores) {
 }
 
 TEST(SpanScopeTest, FullBufferCountsDropsInTheRegistry) {
-  Recorder rec;
+  Recorder rec = recorder_with_spans(8);
   const ScopedBind bind(rec);
   const std::size_t cap = rec.trace.capacity();
   for (std::size_t i = 0; i < cap + 5; ++i) {
@@ -451,6 +485,7 @@ TEST(ObsPipelineTest, StageSpansCoverThePipelineAndNestWellFormed) {
   const auto& pt = points[1];  // high SNR: preamble always found
   const sim::LinkSimulator link(pt.params, pt.tag, pt.channel, pt.sim);
   sim::PacketWorkspace ws;
+  ws.obs = recorder_with_spans(1024);
   (void)link.run_packet(0, 16, ws);  // warm-up
   ws.obs.clear();
   const auto out = link.run_packet(1, 16, ws);
@@ -488,6 +523,25 @@ TEST(ObsPipelineTest, StageSpansCoverThePipelineAndNestWellFormed) {
   EXPECT_EQ(ws.obs.metrics.histogram(Histogram::kEqualizerResidual).count, 1u);
 }
 
+TEST(ObsPipelineTest, RecorderWithoutSpanStorageCountsOnly) {
+  // The default: a bound recorder with no span storage still records
+  // every counter and histogram, but no span and no span drop.
+  const auto points = fast_points();
+  const auto& pt = points[1];
+  const sim::LinkSimulator link(pt.params, pt.tag, pt.channel, pt.sim);
+  sim::PacketWorkspace ws;
+  ws.obs = recorder_with_spans(0);
+  const auto out = link.run_packet(0, 16, ws);
+  EXPECT_TRUE(out.preamble_found);
+  EXPECT_EQ(ws.obs.metrics.count(Counter::kPacketsSimulated), 1u);
+  EXPECT_GT(ws.obs.metrics.count(Counter::kDfeBranchesExpanded), 0u);
+  EXPECT_EQ(ws.obs.metrics.histogram(Histogram::kEqualizerResidual).count, 1u);
+  EXPECT_EQ(ws.obs.trace.size(), 0u);
+  EXPECT_EQ(ws.obs.trace.dropped(), 0u);
+  EXPECT_EQ(ws.obs.metrics.count(Counter::kTraceSpansDropped), 0u);
+  EXPECT_EQ(ws.obs.open_depth, 0);
+}
+
 TEST(ObsPipelineTest, SerialWorkspaceLoopMatchesSweepMetrics) {
   // The sweep's merged registry must equal a plain serial run_packet loop
   // over the same indices -- observability obeys the same partition
@@ -519,12 +573,9 @@ TEST(ObsPipelineTest, SerialWorkspaceLoopMatchesSweepMetrics) {
   EXPECT_EQ(merged, serial);
 }
 
-#endif  // RT_OBS_ENABLED
-
 // ---------------------------------------------------------------------------
-// Golden lockdown: the simulated outcome of a fixed-seed run, recorded
-// from the default (RT_OBS=OFF) build. The obs build runs the same
-// assertions, proving instrumentation never perturbs the data path.
+// Golden lockdown: the simulated outcome of a fixed-seed run. Recording
+// counters and spans must never perturb the data path.
 
 TEST(ObsGoldenTest, FixedSeedStatsMatchTheRecordedBaseline) {
   const auto points = fast_points();
@@ -533,8 +584,7 @@ TEST(ObsGoldenTest, FixedSeedStatsMatchTheRecordedBaseline) {
   const sim::LinkSimulator link(pt.params, pt.tag, pt.channel, pt.sim);
   const auto stats = link.run(6, 16);
   EXPECT_EQ(stats.packets, 6);
-  // Golden values measured once from the RT_OBS=OFF build; both builds
-  // must reproduce them bit-for-bit.
+  // Golden values; every build must reproduce them bit-for-bit.
   EXPECT_EQ(stats.preamble_failures, 0);
   EXPECT_EQ(stats.bit_errors, 83u);
   EXPECT_EQ(stats.total_bits, 768u);

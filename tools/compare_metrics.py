@@ -14,7 +14,10 @@ Compares a candidate metrics file against a baseline along three axes:
                 so this is the default CI gate: a stage whose share grew
                 by more than --max-share-drift-pct percentage points
                 (and whose absolute share is above --min-share-pct, to
-                skip noise-dominated micro-stages) fails the check.
+                skip noise-dominated micro-stages) fails the check. A
+                candidate without stages against a baseline with stages
+                fails too: its bench ran with spans off
+                (RT_OBS_SPAN_CAPACITY unset), so nothing could be checked.
 
   absolute time per-stage total_us slowdown. Only meaningful on the same
                 machine (consecutive local runs); enabled by passing
@@ -32,7 +35,7 @@ Usage:
   python3 tools/compare_metrics.py BASELINE.json CANDIDATE.json
   python3 tools/compare_metrics.py --max-slowdown-pct 25 old.json new.json
   python3 tools/compare_metrics.py --update-baseline \\
-      tools/baselines/BENCH_x.metrics.json build-obs/bench/BENCH_x.metrics.json
+      tools/baselines/BENCH_x.metrics.json build/bench/BENCH_x.metrics.json
 """
 
 from __future__ import annotations
@@ -88,7 +91,13 @@ def compare_stage_shares(
     base: dict, cand: dict, max_drift_pct: float, min_share_pct: float, failures: list[str]
 ) -> None:
     bs, cs = stage_table(base), stage_table(cand)
-    if not bs or not cs:
+    if not bs:
+        return
+    if not cs:
+        failures.append(
+            "stages: baseline has per-stage timings but candidate has none "
+            "(run the bench with spans on: RT_OBS_SPAN_CAPACITY=32768)"
+        )
         return
     b_total = sum(s.get("total_us", 0.0) for s in bs.values())
     c_total = sum(s.get("total_us", 0.0) for s in cs.values())
