@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "frontend/receiver_chain.h"
+#include "optics/ambient.h"
 
 int main() {
   rt::bench::print_header("Fig. 16d -- BER vs ambient light (Dark/Night/Day)",
@@ -61,9 +61,9 @@ int main() {
     std::printf("\n");
   }
 
-  // Mechanism check through the passband frontend: the DC ambient term is
-  // rejected by the band-pass (see frontend tests); here we show the
-  // residual shot-noise-driven sigma ratio.
+  // Mechanism: the DC ambient term is rejected by the passband frontend's
+  // band-pass (checked in the frontend tests); here we show the residual
+  // shot-noise-driven sigma ratio.
   const double sigma_dark = rt::optics::AmbientLight{20.0}.shot_noise_sigma();
   const double sigma_day = rt::optics::AmbientLight{1000.0}.shot_noise_sigma();
   std::printf("\nambient shot-noise sigma ratio day/dark: %.1fx (DC itself is band-passed out)\n",

@@ -26,14 +26,6 @@ std::vector<std::uint8_t> word_from_index(std::uint64_t idx, int bits) {
 
 }  // namespace
 
-double waveform_distance_sq(const LcmTable& table, const Scheme& scheme,
-                            std::span<const std::uint8_t> word_a,
-                            std::span<const std::uint8_t> word_b, double sample_rate_hz) {
-  const auto wa = emulate(table, scheme.encode(word_a), sample_rate_hz);
-  const auto wb = emulate(table, scheme.encode(word_b), sample_rate_hz);
-  return distance_sq_between(wa, wb, scheme.data_bits());
-}
-
 MinDistanceResult min_distance(const LcmTable& table, const Scheme& scheme,
                                double sample_rate_hz, const MinDistanceOptions& options) {
   const int k = scheme.data_bits();

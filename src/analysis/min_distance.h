@@ -37,13 +37,6 @@ struct MinDistanceResult {
   double data_rate_bps = 0.0;
 };
 
-/// Squared Euclidean distance between the emulated waveforms of two words,
-/// normalized per data bit and per unit slot energy.
-[[nodiscard]] double waveform_distance_sq(const LcmTable& table, const Scheme& scheme,
-                                          std::span<const std::uint8_t> word_a,
-                                          std::span<const std::uint8_t> word_b,
-                                          double sample_rate_hz);
-
 /// Minimum distance D of a scheme under the given LCM table.
 [[nodiscard]] MinDistanceResult min_distance(const LcmTable& table, const Scheme& scheme,
                                              double sample_rate_hz,

@@ -25,7 +25,6 @@ class Scheme {
   virtual ~Scheme() = default;
   [[nodiscard]] virtual int data_bits() const = 0;
   [[nodiscard]] virtual double data_rate_bps() const = 0;
-  [[nodiscard]] virtual double slot_duration_s() const = 0;
   /// Total emulation slots (includes tail so trailing pulses count).
   [[nodiscard]] virtual std::size_t total_slots() const = 0;
   [[nodiscard]] virtual CodeMatrix encode(std::span<const std::uint8_t> bits) const = 0;
@@ -46,7 +45,6 @@ class OokScheme final : public Scheme {
   [[nodiscard]] double data_rate_bps() const override {
     return 1.0 / (slot_s_ * static_cast<double>(spb_));
   }
-  [[nodiscard]] double slot_duration_s() const override { return slot_s_; }
   [[nodiscard]] std::size_t total_slots() const override {
     return static_cast<std::size_t>(bits_) * static_cast<std::size_t>(spb_) +
            static_cast<std::size_t>(spb_);
@@ -103,7 +101,6 @@ class DsmPqamScheme final : public Scheme {
   [[nodiscard]] double data_rate_bps() const override {
     return constellation_.bits_per_symbol() / (grid_slot_s_ * static_cast<double>(sps_));
   }
-  [[nodiscard]] double slot_duration_s() const override { return grid_slot_s_; }
   /// DSM symbol duration W = L * T.
   [[nodiscard]] double symbol_duration_s() const {
     return static_cast<double>(l_ * sps_) * grid_slot_s_;

@@ -150,14 +150,6 @@ class ConvolutionalCode {
     return out;
   }
 
-  /// Soft-decision decode of per-bit LLRs (positive = bit 0).
-  [[nodiscard]] std::vector<std::uint8_t> decode_soft(std::span<const float> llrs) const {
-    ConvWorkspace ws;
-    std::vector<std::uint8_t> out;
-    decode_soft_into(llrs, ws, out);
-    return out;
-  }
-
  private:
   [[nodiscard]] static std::uint8_t parity(std::uint32_t v) {
     return narrow_cast<std::uint8_t>(__builtin_popcount(v) & 1);

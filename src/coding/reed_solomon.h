@@ -38,7 +38,6 @@ class ReedSolomon {
 
   [[nodiscard]] std::size_t n() const { return n_; }
   [[nodiscard]] std::size_t k() const { return k_; }
-  [[nodiscard]] std::size_t parity_symbols() const { return n_ - k_; }
   [[nodiscard]] std::size_t correctable_errors() const { return (n_ - k_) / 2; }
   [[nodiscard]] double code_rate() const {
     return static_cast<double>(k_) / static_cast<double>(n_);

@@ -86,9 +86,6 @@ class Rng {
   /// Derives an independent child stream (for per-component seeding).
   [[nodiscard]] Rng fork() { return Rng(engine_()); }
 
-  /// Access to the raw engine for std:: distributions not wrapped here.
-  [[nodiscard]] std::mt19937_64& engine() { return engine_; }
-
  private:
   std::mt19937_64 engine_;
 };

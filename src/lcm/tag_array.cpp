@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/rng.h"
 #include "kernels/kernels.h"
 #include "obs/trace.h"
 
@@ -27,31 +28,17 @@ LcTimings yawed_timings(const LcTimings& base, double yaw_rad, double skew) {
 
 TagArray::TagArray(const TagConfig& config) : cfg_(config) {
   cfg_.validate();
-  Rng rng(cfg_.seed);
   const auto timings = yawed_timings(cfg_.timings, cfg_.yaw_rad, cfg_.yaw_timing_skew);
-  const double grad = 0.2 * std::sin(cfg_.yaw_rad);  // illumination gradient across the array
-  for (int m = 0; m < cfg_.dsm_order; ++m) {
-    Heterogeneity het = cfg_.heterogeneity;
-    i_modules_.emplace_back(cfg_.bits_per_axis, 0.0, het, rng, timings);
-    q_modules_.emplace_back(cfg_.bits_per_axis, rt::deg_to_rad(45.0), het, rng, timings);
-    (void)m;
-  }
-  // Apply the yaw illumination gradient as a deterministic per-module gain
-  // tilt by re-seeding gains is not possible post-construction; instead we
-  // fold it into synthesis via module_gain_.
-  module_gain_i_.resize(i_modules_.size());
-  module_gain_q_.resize(q_modules_.size());
   const int l = cfg_.dsm_order;
+  const int bits = cfg_.bits_per_axis;
+  const double grad = 0.2 * std::sin(cfg_.yaw_rad);  // illumination gradient across the array
+  module_gain_.resize(static_cast<std::size_t>(l));
   for (int m = 0; m < l; ++m) {
     const double pos = l > 1 ? (static_cast<double>(m) / (l - 1) - 0.5) : 0.0;
-    module_gain_i_[m] = 1.0 + grad * pos;
-    module_gain_q_[m] = 1.0 + grad * pos;
+    module_gain_[m] = 1.0 + grad * pos;
   }
 
-  // Flatten the pixel graph into the SoA bank (I group then Q group,
-  // module-major). Static parameters are read back from the constructed
-  // pixels so the bank sees exactly the RNG-perturbed values.
-  const auto n_px = static_cast<std::size_t>(2 * l * cfg_.bits_per_axis);
+  const auto n_px = static_cast<std::size_t>(2 * l * bits);
   bank_.drive.assign(n_px, 0.0);
   bank_.c.assign(n_px, 0.0);
   bank_.s.assign(n_px, 0.0);
@@ -62,26 +49,37 @@ TagArray::TagArray(const TagConfig& config) : cfg_(config) {
   bank_.tau_slow = timings.tau_slow_s;
   bank_.tau_memory = timings.tau_memory_s;
   bank_.k_mem = timings.memory_coupling;
-  std::size_t p = 0;
-  for (const auto* group : {&i_modules_, &q_modules_}) {
-    for (const auto& mod : *group) {
-      for (const auto& px : mod.pixels()) {
-        const auto& pp = px.params();
-        bank_.tau_charge[p] = pp.timings.tau_charge_s;
-        bank_.tau_relax[p] = pp.timings.tau_relax_s;
-        // Matches Pixel::step: gain * area rounds once up front; the
-        // polarization axis is e^{j 2 (theta_b + eps)}.
-        bank_.w[p] = pp.gain * pp.area;
-        bank_.axis[p] = std::polar(1.0, 2.0 * (pp.polarizer_angle_rad + pp.angle_error_rad));
-        ++p;
+
+  // Draw order (part of the seed's meaning): per module position, the I
+  // module then the Q module; per module the polarizer error, the charge
+  // then relax time constant, then one gain per pixel, largest first.
+  const Heterogeneity& het = cfg_.heterogeneity;
+  const double total_area = static_cast<double>((1 << bits) - 1);
+  Rng rng(cfg_.seed);
+  for (int m = 0; m < l; ++m) {
+    for (const bool is_i : {true, false}) {
+      const double polarizer_rad = is_i ? 0.0 : rt::deg_to_rad(45.0);
+      const double angle_error_rad = het.angle_sigma_rad * rng.gaussian();
+      LcTimings module_timings = timings;
+      module_timings.tau_charge_s *= 1.0 + het.timing_sigma * rng.gaussian();
+      module_timings.tau_relax_s *= 1.0 + het.timing_sigma * rng.gaussian();
+      module_timings.validate();
+      const sig::Complex axis = std::polar(1.0, 2.0 * (polarizer_rad + angle_error_rad));
+      std::size_t p = bank_base(is_i, m);
+      for (int b = bits - 1; b >= 0; --b, ++p) {
+        const double area = static_cast<double>(1 << b) / total_area;  // full level -> 1.0
+        const double gain = 1.0 + het.gain_sigma * rng.gaussian();
+        RT_ENSURE(gain > 0.0, "heterogeneity produced non-positive gain");
+        bank_.tau_charge[p] = module_timings.tau_charge_s;
+        bank_.tau_relax[p] = module_timings.tau_relax_s;
+        bank_.w[p] = gain * area;
+        bank_.axis[p] = axis;
       }
     }
   }
 }
 
 void TagArray::reset() {
-  for (auto& m : i_modules_) m.reset();
-  for (auto& m : q_modules_) m.reset();
   std::fill(bank_.drive.begin(), bank_.drive.end(), 0.0);
   std::fill(bank_.c.begin(), bank_.c.end(), 0.0);
   std::fill(bank_.s.begin(), bank_.s.end(), 0.0);
@@ -173,27 +171,26 @@ void TagArray::synthesize_into(std::span<const Firing> schedule, double fs, doub
     const std::size_t run = std::min(seg_end - i, kMaxRun);
     scratch.c_run.resize(run * n_px);
     // All 2*L*bits director ODEs advance in one batched kernel call; the
-    // polarization sum below then replays the old object walk's exact
-    // accumulation order (pixels into a module sum, module gain, then the
-    // I group followed by the Q group), so a scalar-backend build stays
-    // bit-identical to the pre-SoA pipeline.
+    // polarization sum below keeps a fixed accumulation order (pixels into
+    // a module sum, module gain, then the I group followed by the Q
+    // group), which the golden fixtures depend on bit for bit.
     kernels::lc_step_run(n_px, run, dt, bank_.drive.data(), bank_.c.data(), bank_.s.data(),
                          scratch.c_run.data(), bp);
     for (std::size_t t = 0; t < run; ++t) {
       const double* crow = scratch.c_run.data() + t * n_px;
       sig::Complex acc{};
       std::size_t p = 0;
-      for (std::size_t m = 0; m < i_modules_.size(); ++m) {
+      for (std::size_t m = 0; m < module_gain_.size(); ++m) {
         sig::Complex macc{};
         for (int b = 0; b < bits; ++b, ++p)
           macc += bank_.w[p] * (2.0 * crow[p] - 1.0) * bank_.axis[p];
-        acc += module_gain_i_[m] * macc;
+        acc += module_gain_[m] * macc;
       }
-      for (std::size_t m = 0; m < q_modules_.size(); ++m) {
+      for (std::size_t m = 0; m < module_gain_.size(); ++m) {
         sig::Complex macc{};
         for (int b = 0; b < bits; ++b, ++p)
           macc += bank_.w[p] * (2.0 * crow[p] - 1.0) * bank_.axis[p];
-        acc += module_gain_q_[m] * macc;
+        acc += module_gain_[m] * macc;
       }
       out[i + t] = acc;
     }

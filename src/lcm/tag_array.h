@@ -2,6 +2,15 @@
 // retroreflector, split into an I group (back polarizers at 0deg) and a Q
 // group (45deg), per the paper's PQAM design (section 4.2.2).
 //
+// Each pixel is an LC cell behind its module's back polarizer (theta_b).
+// With the front polarizer detached (flicker-free, section 4.2.1) the
+// cell splits the retroreflected light between theta_b (charged) and
+// theta_b + 90deg (relaxed) in proportion to its alignment state c(t), so
+// the complex two-PDR receiver sees
+//   contribution(t) = gain * area * (2 c(t) - 1) * exp(j 2 (theta_b + eps))
+// and I and Q pixels share one scalar pulse on orthogonal axes
+// (p_I(t) = j p_Q(t)).
+//
 // The array is a time-stepped simulator: the PHY modulator schedules
 // firings (module + drive level + time); synthesize() integrates every LC
 // cell and emits the complex two-PDR baseband waveform the reader would
@@ -13,12 +22,19 @@
 #include <span>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/units.h"
-#include "lcm/module.h"
+#include "lcm/lc_cell.h"
 #include "signal/waveform.h"
 
 namespace rt::lcm {
+
+/// Distribution widths for per-pixel manufacturing/illumination spread
+/// (paper Fig. 11b). Zero-initialized = ideal homogeneous hardware.
+struct Heterogeneity {
+  double gain_sigma = 0.0;         ///< relative amplitude spread
+  double timing_sigma = 0.0;       ///< relative time-constant spread
+  double angle_sigma_rad = 0.0;    ///< polarizer attachment error spread
+};
 
 struct TagConfig {
   int dsm_order = 8;            ///< L: modules per polarization group
@@ -76,6 +92,17 @@ struct SynthScratch {
 
 class TagArray {
  public:
+  /// Draws every pixel's parameters from `config.heterogeneity`, seeded by
+  /// `config.seed`. Each module is a group of `bits_per_axis` binary-
+  /// weighted pixels (areas 2^(bits-1) .. 1, normalized to sum 1), so
+  /// driving level k charges the pixels of k's binary decomposition.
+  ///
+  /// Granularity of the spread reflects the hardware: each LCM module is
+  /// one liquid-crystal cell behind one back polarizer, so the polarizer
+  /// attachment error and the LC time constants are drawn once per module
+  /// (and absorbed by the per-module online training), while the
+  /// amplitude/transmission gain varies per pixel (etching/ITO spread --
+  /// what the pixel-calibration extension estimates).
   explicit TagArray(const TagConfig& config);
 
   /// Runs the LC simulation over [0, duration_s) with the given firing
@@ -104,17 +131,16 @@ class TagArray {
   /// the bit rate, fixes the power draw.
   [[nodiscard]] double drive_energy(std::span<const Firing> schedule) const;
 
-  [[nodiscard]] const std::vector<Module>& i_modules() const { return i_modules_; }
-  [[nodiscard]] const std::vector<Module>& q_modules() const { return q_modules_; }
+  /// Per-pixel amplitude weight (gain * area) in bank order: the L I-group
+  /// modules, then the L Q-group modules, each module's pixels largest
+  /// first.
+  [[nodiscard]] std::span<const double> pixel_weights() const { return bank_.w; }
 
  private:
-  /// Struct-of-arrays mirror of every pixel's LC state and static
-  /// parameters, in bank order [I modules x pixels, then Q modules x
-  /// pixels]. synthesize_into() advances ALL cells per sample through one
-  /// batched kernels::lc_step call instead of walking the Module/Pixel
-  /// object graph; the objects stay authoritative for construction (RNG
-  /// draw order, per-pixel params exposed to tests) and for the emulator
-  /// paths that still step modules directly.
+  /// Struct-of-arrays LC state and static parameters of every pixel, in
+  /// bank order [I modules x pixels, then Q modules x pixels].
+  /// synthesize_into() advances ALL cells per sample through one batched
+  /// kernels::lc_step call.
   struct PixelBank {
     std::vector<double> drive;       ///< 1.0 driven / 0.0 released, per pixel
     std::vector<double> c;           ///< LC alignment state
@@ -136,14 +162,13 @@ class TagArray {
   }
 
   /// Writes the binary decomposition of `level` into the drive lanes of
-  /// one module (pixel 0 carries the top bit, mirroring Module::step).
+  /// one module (pixel 0, the largest, carries the top bit).
   void apply_level(bool is_i, int module, int level);
 
   TagConfig cfg_;
-  std::vector<Module> i_modules_;
-  std::vector<Module> q_modules_;
-  std::vector<double> module_gain_i_;  ///< yaw illumination gradient per module
-  std::vector<double> module_gain_q_;
+  /// Yaw illumination gradient per module position, shared by the I and
+  /// Q module at that position.
+  std::vector<double> module_gain_;
   PixelBank bank_;
 };
 

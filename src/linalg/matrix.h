@@ -107,11 +107,6 @@ class Matrix {
     return out;
   }
 
-  void set_col(std::size_t c, std::span<const T> values) {
-    RT_ENSURE(c < cols_ && values.size() == rows_, "set_col size mismatch");
-    for (std::size_t r = 0; r < rows_; ++r) (*this)(r, c) = values[r];
-  }
-
   [[nodiscard]] Matrix transpose() const {
     Matrix out(cols_, rows_);
     for (std::size_t r = 0; r < rows_; ++r)

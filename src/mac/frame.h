@@ -56,7 +56,4 @@ struct MacFrame {
   return f;
 }
 
-/// Total serialized size for a payload of `payload_bytes`.
-[[nodiscard]] constexpr std::size_t frame_overhead_bytes() { return 6; }
-
 }  // namespace rt::mac

@@ -22,8 +22,6 @@ class TdmaScheduler {
     return std::find(tags_.begin(), tags_.end(), tag_id) != tags_.end();
   }
 
-  [[nodiscard]] std::size_t tag_count() const { return tags_.size(); }
-
   /// Tag owning uplink slot `slot` (slots cycle round-robin).
   [[nodiscard]] std::uint8_t owner(std::size_t slot) const {
     RT_ENSURE(!tags_.empty(), "no tags registered");

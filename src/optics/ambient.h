@@ -7,21 +7,13 @@
 // Dark (20 lux).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
-
-#include "common/error.h"
 
 namespace rt::optics {
 
 struct AmbientLight {
   double illuminance_lux = 200.0;  ///< paper default: office at night
-
-  /// DC photocurrent component (arbitrary intensity units proportional to
-  /// lux; the proportionality constant folds into the photodiode model).
-  [[nodiscard]] double dc_intensity(double lux_to_intensity = 1e-3) const {
-    RT_ENSURE(illuminance_lux >= 0.0, "illuminance cannot be negative");
-    return illuminance_lux * lux_to_intensity;
-  }
 
   /// Shot-noise standard deviation scales with the square root of the
   /// total detected optical power (Poisson statistics).

@@ -40,11 +40,10 @@ class Constellation {
   [[nodiscard]] int bits_per_axis() const { return bits_; }
   [[nodiscard]] int levels_per_axis() const { return 1 << bits_; }
   [[nodiscard]] int bits_per_symbol() const { return use_q_ ? 2 * bits_ : bits_; }
-  [[nodiscard]] bool uses_q() const { return use_q_; }
 
   /// All levels a symbol may take (Q fixed to -1 without the Q channel).
   [[nodiscard]] std::vector<SymbolLevels> alphabet() const {
-    // rt-check: alloc-ok (cold: called only to refill the EqualizerWorkspace alphabet cache)
+    // rt-check: alloc-ok (cold: only tests and scheme names call it; the DFE loops over levels)
     std::vector<SymbolLevels> out;
     out.reserve(static_cast<std::size_t>(levels_per_axis()) *
                 static_cast<std::size_t>(use_q_ ? levels_per_axis() : 1));

@@ -121,14 +121,12 @@ void DfeEqualizer::equalize_into(const sig::IqWaveform& rx, std::size_t payload_
   }
   ws.n_cur = 1;
 
-  // Alphabet is a pure function of (bits_per_axis, use_q_channel); rebuild
-  // only when the constellation changed since the last packet.
-  if (ws.alphabet_bits != bits || ws.alphabet_q != (p_.use_q_channel ? 1 : 0)) {
-    ws.alphabet = constellation_.alphabet();
-    ws.alphabet_bits = bits;
-    ws.alphabet_q = p_.use_q_channel ? 1 : 0;
-  }
-  const auto& alphabet = ws.alphabet;
+  // Candidates enumerate the alphabet in Constellation::alphabet() order
+  // -- I level outer, Q level inner (-1 without the Q channel) -- which is
+  // the score layout unmap_soft_into() reads.
+  const int levels = 1 << bits;
+  const int q_levels = p_.use_q_channel ? levels : 1;
+  const auto alphabet_size = static_cast<std::size_t>(levels * q_levels);
 
   auto& terms = ws.terms;
 
@@ -156,16 +154,19 @@ void DfeEqualizer::equalize_into(const sig::IqWaveform& rx, std::size_t payload_
     const int m = p_.slot_module(n);
     auto& candidates = ws.candidates;
     candidates.clear();
-    candidates.reserve(ws.n_cur * alphabet.size());
+    candidates.reserve(ws.n_cur * alphabet_size);
     for (std::size_t bi = 0; bi < ws.n_cur; ++bi) {
       const auto& b = ws.cur[bi];
-      for (const auto& sym : alphabet) {
-        terms.clear();
-        gather_terms(m, sym.level_i, b.pixel_hist, terms);
-        if (p_.use_q_channel) gather_terms(l + m, sym.level_q, b.pixel_hist, terms);
-        const double score =
-            kernels::dfe_score(t_samps, b.residual.data(), terms.data(), terms.size());
-        candidates.push_back({bi, sym, b.metric + score});
+      for (int li = 0; li < levels; ++li) {
+        for (int qi = 0; qi < q_levels; ++qi) {
+          const SymbolLevels sym{li, p_.use_q_channel ? qi : -1};
+          terms.clear();
+          gather_terms(m, sym.level_i, b.pixel_hist, terms);
+          if (p_.use_q_channel) gather_terms(l + m, sym.level_q, b.pixel_hist, terms);
+          const double score =
+              kernels::dfe_score(t_samps, b.residual.data(), terms.data(), terms.size());
+          candidates.push_back({bi, sym, b.metric + score});
+        }
       }
     }
     if (soft_output) {
@@ -236,7 +237,7 @@ void DfeEqualizer::equalize_into(const sig::IqWaveform& rx, std::size_t payload_
       if (soft_output) {
         nb.llrs = parent.llrs;
         constellation_.unmap_soft_into(
-            {ws.slot_scores.data() + c.parent * alphabet.size(), alphabet.size()}, nb.llrs);
+            {ws.slot_scores.data() + c.parent * alphabet_size, alphabet_size}, nb.llrs);
       }
       // Decision feedback: subtract the decided cycle's waveform over its
       // full W span, then slide the window one slot forward.

@@ -55,9 +55,6 @@ struct EqualizerWorkspace {
   std::vector<Candidate> candidates;
   std::vector<kernels::CTerm> terms;       ///< per-candidate template/weight terms
   std::vector<kernels::CTerm> tail_terms;  ///< `terms` re-based at the feedback offset
-  std::vector<SymbolLevels> alphabet;  ///< cached constellation alphabet
-  int alphabet_bits = 0;               ///< cache key: bits per axis
-  int alphabet_q = -1;                 ///< cache key: use_q (as int; -1 = invalid)
   std::vector<char> seen_keys;         ///< flat fixed-stride merge keys
   std::vector<double> slot_scores;     ///< pre-sort candidate scores (soft mode)
 };

@@ -28,15 +28,9 @@ struct PacketSchedule {
   double duration_s = 0.0;                    ///< total frame duration incl. tail
 };
 
-/// Reusable modulation scratch. The frame prefix (preamble + training +
-/// pixel-calibration firings) is payload-independent, so it is built and
-/// sorted once and replayed for every packet with the same geometry.
+/// Reusable modulation scratch.
 struct ModulatorWorkspace {
-  std::vector<std::uint8_t> bits;       ///< scrambled, padded payload bits
-  std::vector<lcm::Firing> prefix;      ///< sorted payload-independent firings
-  FrameLayout prefix_layout;
-  PhyParams prefix_params;
-  bool prefix_valid = false;
+  std::vector<std::uint8_t> bits;  ///< scrambled, padded payload bits
 };
 
 class Modulator {
@@ -44,22 +38,20 @@ class Modulator {
   explicit Modulator(const PhyParams& params)
       : p_(params), constellation_(params.bits_per_axis, params.use_q_channel) {
     p_.validate();
+    // Frame prefix (preamble + training + pixel calibration): its slots
+    // all precede the payload, so it depends on the params alone.
+    const auto layout = FrameLayout::for_params(p_, 0);
+    prefix_ = preamble_firings(p_, layout.preamble_begin());
+    const auto tfirings = training_firings(p_, training_schedule(p_, layout));
+    prefix_.insert(prefix_.end(), tfirings.begin(), tfirings.end());
+    const auto pfirings = pixel_training_firings(p_, layout);
+    prefix_.insert(prefix_.end(), pfirings.begin(), pfirings.end());
+    std::sort(prefix_.begin(), prefix_.end(),
+              [](const lcm::Firing& a, const lcm::Firing& b) { return a.time_s < b.time_s; });
   }
 
   /// Number of padding-free payload bits per slot.
   [[nodiscard]] int bits_per_slot() const { return constellation_.bits_per_symbol(); }
-
-  /// Payload slot count a `payload_bits`-bit payload occupies after
-  /// padding to whole firing groups -- the frame-geometry contract a
-  /// streaming receiver needs before it has seen any packet. Matches
-  /// modulate()'s layout exactly.
-  [[nodiscard]] int payload_slots_for(std::size_t payload_bits) const {
-    const auto bps = static_cast<std::size_t>(bits_per_slot());
-    const std::size_t group_bits = static_cast<std::size_t>(p_.dsm_order) * bps;
-    const std::size_t padded = ((payload_bits + group_bits - 1) / group_bits) * group_bits;
-    const int groups = narrow_cast<int>(padded / group_bits);
-    return groups * p_.period_slots();
-  }
 
   /// Builds a full packet. `payload_bits` is scrambled (DC balance,
   /// footnote 4), zero-padded to a whole number of slots, and mapped to
@@ -73,8 +65,7 @@ class Modulator {
   }
 
   /// Workspace form of modulate(): rebuilds `out` inside its existing
-  /// capacity and reuses the cached frame prefix. Bit-identical to
-  /// modulate().
+  /// capacity. Bit-identical to modulate().
   void modulate_into(std::span<const std::uint8_t> payload_bits, ModulatorWorkspace& ws,
                      PacketSchedule& out, bool scramble = true) const {
     RT_TRACE_SPAN("modulate");
@@ -95,24 +86,9 @@ class Modulator {
     out.layout = FrameLayout::for_params(p_, payload_slots);
     out.payload_symbol_count = payload_symbols;
 
-    // Frame prefix (preamble + training + pixel calibration): depends only
-    // on (params, layout), so replay the cached sorted copy when possible.
-    if (!ws.prefix_valid || !(ws.prefix_params == p_) || !(ws.prefix_layout == out.layout)) {
-      ws.prefix = preamble_firings(p_, out.layout.preamble_begin());
-      const auto tsched = training_schedule(p_, out.layout);
-      const auto tfirings = training_firings(p_, tsched);
-      ws.prefix.insert(ws.prefix.end(), tfirings.begin(), tfirings.end());
-      const auto pfirings = pixel_training_firings(p_, out.layout);
-      ws.prefix.insert(ws.prefix.end(), pfirings.begin(), pfirings.end());
-      std::sort(ws.prefix.begin(), ws.prefix.end(),
-                [](const lcm::Firing& a, const lcm::Firing& b) { return a.time_s < b.time_s; });
-      ws.prefix_params = p_;
-      ws.prefix_layout = out.layout;
-      ws.prefix_valid = true;
-    }
     out.firings.clear();
-    out.firings.reserve(ws.prefix.size() + static_cast<std::size_t>(payload_symbols));
-    out.firings.insert(out.firings.end(), ws.prefix.begin(), ws.prefix.end());
+    out.firings.reserve(prefix_.size() + static_cast<std::size_t>(payload_symbols));
+    out.firings.insert(out.firings.end(), prefix_.begin(), prefix_.end());
     // Payload: symbol s occupies the s-th *active* slot (basic DSM rests
     // for basic_rest_slots after every L-slot group). Payload firing times
     // ascend and all exceed every prefix time, so appending keeps the
@@ -152,6 +128,7 @@ class Modulator {
   PhyParams p_;
   Constellation constellation_;
   sig::Scrambler scrambler_{};
+  std::vector<lcm::Firing> prefix_;  ///< sorted frame-prefix firings
 };
 
 }  // namespace rt::phy

@@ -146,7 +146,7 @@ PreambleDetection PreambleProcessor::detect(const sig::IqWaveform& rx, std::size
   // normalized correlation peak. The latter carries the full processing
   // gain of the preamble length, which is what lets low-rate links
   // synchronize below 0 dB per-sample SNR (paper: 1 Kbps at -5 dB).
-  det.found = best_resid < threshold_ || det.correlation_peak > corr_threshold_;
+  det.found = best_resid < kResidThreshold || det.correlation_peak > kCorrThreshold;
   return det;
 }
 

@@ -76,13 +76,8 @@ class PreambleProcessor {
   /// copying the whole packet waveform.
   void correct_in_place(sig::IqWaveform& rx, const PreambleDetection& det) const;
 
-  /// Residual threshold above which detect() reports not-found.
-  [[nodiscard]] double detection_threshold() const { return threshold_; }
-  void set_detection_threshold(double t) { threshold_ = t; }
-
   /// Normalized-correlation acceptance threshold (the low-SNR path).
-  [[nodiscard]] double correlation_threshold() const { return corr_threshold_; }
-  void set_correlation_threshold(double t) { corr_threshold_ = t; }
+  [[nodiscard]] static constexpr double correlation_threshold() { return kCorrThreshold; }
 
   [[nodiscard]] const std::vector<Complex>& reference() const { return reference_; }
 
@@ -101,8 +96,11 @@ class PreambleProcessor {
   std::vector<Complex> reference_;
   sig::CenteredRef centered_ref_;  ///< zero-mean reference + energy, cached
   double ref_energy_ = 0.0;        ///< sum |reference_|^2 (uncentred)
-  double threshold_ = 0.35;
-  double corr_threshold_ = 0.30;
+
+  /// detect() reports found when the best normalized residual falls below
+  /// kResidThreshold or the correlation peak exceeds kCorrThreshold.
+  static constexpr double kResidThreshold = 0.35;
+  static constexpr double kCorrThreshold = 0.30;
 };
 
 }  // namespace rt::phy

@@ -95,12 +95,6 @@ class PulseBank {
     bits_per_axis_ = bits_per_axis;
   }
 
-  /// Reverts to the unity-gain default (all pixels identical).
-  void clear_pixel_gains() {
-    pixel_gains_.clear();
-    bits_per_axis_ = 0;
-  }
-
   [[nodiscard]] Complex pixel_gain(int module_global, int weight_index) const {
     if (pixel_gains_.empty()) return Complex(1.0, 0.0);
     RT_ENSURE(module_global >= 0 && module_global < modules_ && weight_index >= 0 &&

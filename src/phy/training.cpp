@@ -211,13 +211,6 @@ void OnlineTrainer::train_into(const PhyParams& params, const OfflineModel& mode
     calibrate_pixel_gains_into(params, layout, corrected_rx, frame_start, bank, ws);
 }
 
-void OnlineTrainer::calibrate_pixel_gains(const PhyParams& params, const FrameLayout& layout,
-                                          const sig::IqWaveform& corrected_rx,
-                                          std::size_t frame_start, PulseBank& bank) {
-  TrainingWorkspace ws;
-  calibrate_pixel_gains_into(params, layout, corrected_rx, frame_start, bank, ws);
-}
-
 void OnlineTrainer::calibrate_pixel_gains_into(const PhyParams& params,
                                                const FrameLayout& layout,
                                                const sig::IqWaveform& corrected_rx,

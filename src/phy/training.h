@@ -102,23 +102,11 @@ class OnlineTrainer {
                          double ridge = 1e-4);
 
   /// Second-stage per-pixel gain estimation from the calibration rounds
-  /// (runs automatically from train() when the frame carries them).
-  static void calibrate_pixel_gains(const PhyParams& params, const FrameLayout& layout,
-                                    const sig::IqWaveform& corrected_rx,
-                                    std::size_t frame_start, PulseBank& bank);
-
-  /// Workspace form of calibrate_pixel_gains().
+  /// (runs automatically from train_into() when the frame carries them).
   static void calibrate_pixel_gains_into(const PhyParams& params, const FrameLayout& layout,
                                          const sig::IqWaveform& corrected_rx,
                                          std::size_t frame_start, PulseBank& bank,
                                          TrainingWorkspace& ws);
 };
-
-/// Builds a PulseBank straight from ground-truth fingerprints measured at
-/// the operating orientation (an "oracle" receiver with perfect channel
-/// knowledge) -- the upper bound online training is judged against.
-[[nodiscard]] inline PulseBank oracle_bank(const PhyParams& params, const WaveformSource& source) {
-  return collect_fingerprints(params, source);
-}
 
 }  // namespace rt::phy

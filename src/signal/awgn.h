@@ -41,10 +41,4 @@ inline void add_noise_sigma(IqWaveform& w, double sigma_per_axis, Rng& rng) {
     s += Complex(rng.gaussian(0.0, sigma_per_axis), rng.gaussian(0.0, sigma_per_axis));
 }
 
-/// SNR in dB given measured signal and noise powers.
-[[nodiscard]] inline double snr_db_from_powers(double signal_power, double noise_power) {
-  RT_ENSURE(noise_power > 0.0, "noise power must be positive");
-  return to_db(signal_power / noise_power);
-}
-
 }  // namespace rt::sig

@@ -26,10 +26,6 @@ class FirFilter {
 
   [[nodiscard]] const std::vector<double>& taps() const { return taps_; }
 
-  /// Taps in reversed order (cached so the kernel-layer convolution can
-  /// walk both operands ascending).
-  [[nodiscard]] const std::vector<double>& taps_reversed() const { return taps_rev_; }
-
   /// Group delay in samples ((N-1)/2 for the symmetric designs here).
   [[nodiscard]] std::size_t group_delay() const { return (taps_.size() - 1) / 2; }
 
@@ -45,6 +41,8 @@ class FirFilter {
   [[nodiscard]] BasicWaveform<T> apply_impl(const BasicWaveform<T>& in) const;
 
   std::vector<double> taps_;
+  /// Taps in reversed order, so the kernel-layer convolution can walk both
+  /// operands ascending.
   std::vector<double> taps_rev_;
 };
 

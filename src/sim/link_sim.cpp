@@ -120,8 +120,8 @@ std::size_t LinkSimulator::render_into(std::span<const std::uint8_t> payload_bit
   auto& pkt = ws.schedule;
 
   // Random pre-padding: the reader does not know when the packet starts.
-  // The shift happens in place; the next modulate_into() rebuilds the
-  // schedule from the cached prefix, so the offset never accumulates.
+  // The shift happens in place; the next modulate_into() copies the
+  // modulator's unshifted prefix again, so the offset never accumulates.
   const int pad_slots =
       opts_.max_pad_slots > 0 ? narrow_cast<int>(pad_rng.uniform_int(0, opts_.max_pad_slots)) : 0;
   const double pad_s = pad_slots * params_.slot_s;

@@ -1,11 +1,9 @@
-// Tests for the analysis extensions (union bound) and the multi-tag
-// collision study.
+// Tests for the multi-tag collision study.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <set>
 
-#include "analysis/union_bound.h"
 #include "common/units.h"
 #include "phy/demodulator.h"
 #include "phy/modulator.h"
@@ -14,39 +12,6 @@
 
 namespace rt {
 namespace {
-
-TEST(UnionBound, QFunctionSanity) {
-  EXPECT_NEAR(analysis::q_function(0.0), 0.5, 1e-12);
-  EXPECT_NEAR(analysis::q_function(1.0), 0.1587, 1e-3);
-  EXPECT_LT(analysis::q_function(5.0), 3e-7);
-}
-
-TEST(UnionBound, SpectrumContainsSingleFlipEvents) {
-  const auto table = analysis::characterize_lcm(lcm::LcTimings{}, 0.5e-3, 40e3, 6);
-  const analysis::DsmPqamScheme scheme(2, 1, 0.5e-3, 2, true, 2);
-  const auto spec = analysis::distance_spectrum(table, scheme, 40e3, 4);
-  ASSERT_FALSE(spec.lines.empty());
-  int total = 0;
-  for (const auto& l : spec.lines) {
-    EXPECT_GT(l.distance, 0.0);
-    total += l.multiplicity;
-  }
-  EXPECT_EQ(total, 4 * scheme.data_bits());  // every flip of every base word
-}
-
-TEST(UnionBound, BerDecreasesWithSnrAndMatchesWaterfallShape) {
-  const auto table = analysis::characterize_lcm(lcm::LcTimings{}, 0.5e-3, 40e3, 6);
-  const analysis::DsmPqamScheme scheme(2, 1, 0.5e-3, 2, true, 2);
-  const auto spec = analysis::distance_spectrum(table, scheme, 40e3, 4);
-  double prev = 1.0;
-  for (double sigma = 1.0; sigma > 0.01; sigma *= 0.6) {
-    const double ber = analysis::union_bound_ber(spec, sigma);
-    EXPECT_LE(ber, prev + 1e-12);
-    prev = ber;
-  }
-  EXPECT_LT(prev, 1e-6);  // waterfall reaches deep BER at low noise
-  EXPECT_THROW((void)analysis::union_bound_ber(spec, 0.0), PreconditionError);
-}
 
 class MultiTagTest : public ::testing::Test {
  protected:

@@ -1,6 +1,6 @@
-// Tests for the extension modules: SNR estimation, AGC, ADC quantization,
-// Stokes/Mueller polarization calculus, the downlink/inventory protocol,
-// the block interleaver and the convolutional code.
+// Tests for the extension modules: SNR estimation, the Stokes/Mueller
+// reference model of the polarization shortcuts, the block interleaver and
+// the convolutional code.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,13 +9,10 @@
 #include "coding/interleaver.h"
 #include "common/rng.h"
 #include "common/units.h"
-#include "frontend/adc.h"
-#include "frontend/agc.h"
-#include "mac/inventory.h"
 #include "optics/polarization.h"
-#include "optics/stokes.h"
 #include "signal/awgn.h"
 #include "signal/snr_estimator.h"
+#include "stokes_oracle.h"
 
 namespace rt {
 namespace {
@@ -55,85 +52,6 @@ TEST(SnrEstimator, Validation) {
   const std::vector<sig::Complex> a(4), b(5);
   EXPECT_THROW((void)sig::estimate_snr(a, b), PreconditionError);
   EXPECT_THROW((void)sig::estimate_snr_blind(std::span<const sig::Complex>(a)), PreconditionError);
-}
-
-// ---------------------------------------------------------------- AGC --
-
-TEST(Agc, ConvergesToTargetRms) {
-  frontend::AgcConfig cfg;
-  cfg.target_rms = 1.0;
-  frontend::Agc agc(cfg);
-  sig::IqWaveform in(40e3, 8000);
-  for (auto& v : in.samples) v = sig::Complex(0.02, 0.0);  // 34 dB below target
-  const auto out = agc.apply(in);
-  // After convergence, the tail of the output sits at the target RMS.
-  double p = 0.0;
-  for (std::size_t i = out.size() - 500; i < out.size(); ++i) p += std::norm(out[i]);
-  EXPECT_NEAR(std::sqrt(p / 500.0), 1.0, 0.05);
-}
-
-TEST(Agc, SlewLimitBoundsPerWindowChange) {
-  frontend::AgcConfig cfg;
-  cfg.max_step = 0.1;
-  frontend::Agc agc(cfg);
-  sig::IqWaveform in(40e3, 400);  // exactly two 5 ms windows
-  for (auto& v : in.samples) v = sig::Complex(1e-3, 0.0);
-  (void)agc.apply(in);
-  // Two windows => gain grew by at most (1.1)^2.
-  EXPECT_LE(agc.gain(), 1.1 * 1.1 + 1e-9);
-}
-
-TEST(Agc, GainClampedToConfiguredRange) {
-  frontend::AgcConfig cfg;
-  cfg.max_gain = 4.0;
-  cfg.max_step = 0.9;
-  frontend::Agc agc(cfg);
-  sig::IqWaveform in(40e3, 40000);
-  for (auto& v : in.samples) v = sig::Complex(1e-6, 0.0);
-  (void)agc.apply(in);
-  EXPECT_LE(agc.gain(), 4.0 + 1e-12);
-  EXPECT_THROW(agc.reset(100.0), PreconditionError);
-}
-
-// ---------------------------------------------------------------- ADC --
-
-TEST(Adc, QuantizesToGridAndClips) {
-  frontend::Adc adc(12, 1.0);
-  EXPECT_NEAR(adc.quantize(0.5), 0.5, adc.step());
-  EXPECT_DOUBLE_EQ(adc.quantize(2.0), adc.quantize(1.0));  // clipped at the rail
-  EXPECT_DOUBLE_EQ(adc.quantize(-5.0), adc.quantize(-1.0));
-  EXPECT_NEAR(adc.ideal_snr_db(), 74.0, 0.1);
-}
-
-TEST(Adc, QuantizationNoiseMatchesResolution) {
-  Rng rng(7);
-  frontend::Adc adc(12, 1.0);
-  sig::Waveform in(40e3, 50000);
-  for (auto& v : in.samples) v = rng.uniform(-0.9, 0.9);
-  const auto out = adc.convert(in);
-  double err = 0.0;
-  for (std::size_t i = 0; i < in.size(); ++i) err += (out[i] - in[i]) * (out[i] - in[i]);
-  err /= static_cast<double>(in.size());
-  // Uniform quantization noise variance = step^2 / 12.
-  EXPECT_NEAR(err, adc.step() * adc.step() / 12.0, 0.2 * adc.step() * adc.step() / 12.0);
-}
-
-TEST(Adc, TwelveBitsTransparentToPhySignals) {
-  // 12-bit conversion must not disturb a signal that uses a healthy chunk
-  // of the range: quantization SNR ~74 dB >> link SNR.
-  frontend::Adc adc(12, 4.0);
-  sig::IqWaveform w(40e3, 1000);
-  for (std::size_t i = 0; i < w.size(); ++i)
-    w[i] = {2.0 * std::sin(0.01 * static_cast<double>(i)),
-            2.0 * std::cos(0.013 * static_cast<double>(i))};
-  const auto q = adc.convert(w);
-  double err = 0.0;
-  double ref = 0.0;
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    err += std::norm(q[i] - w[i]);
-    ref += std::norm(w[i]);
-  }
-  EXPECT_LT(rt::to_db(err / ref), -60.0);
 }
 
 // ------------------------------------------------------------- Stokes --
@@ -195,72 +113,6 @@ TEST(Stokes, RotatorShiftsLinearAngle) {
   const auto out = optics::Mueller::rotator(rt::deg_to_rad(35.0)) * in;
   EXPECT_NEAR(rt::rad_to_deg(out.linear_angle_rad()), 45.0, 1e-9);
   EXPECT_NEAR(out.i, 2.0, 1e-12);  // rotation is lossless
-}
-
-// ----------------------------------------------------- downlink/inv --
-
-TEST(Downlink, TagStateMachineHappyPath) {
-  Rng rng(11);
-  mac::TagProtocol tag(7, rng);
-  EXPECT_EQ(tag.state(), mac::TagState::kReady);
-  // Query with 1 slot: the tag must reply immediately.
-  const auto r = tag.on_command({mac::DownlinkType::kQuery, 0, 1, 0, 0});
-  EXPECT_TRUE(r.replies_with_id);
-  EXPECT_EQ(tag.state(), mac::TagState::kReplied);
-  (void)tag.on_command({mac::DownlinkType::kAck, 7, 0, 0, 0});
-  EXPECT_EQ(tag.state(), mac::TagState::kInventoried);
-  // Rate assignment sticks; polls produce data.
-  (void)tag.on_command({mac::DownlinkType::kRateAssign, 7, 0, 3, 1});
-  EXPECT_EQ(tag.rate_code(), 3);
-  EXPECT_TRUE(tag.on_command({mac::DownlinkType::kPoll, 7, 0, 0, 0}).sends_data);
-  // Commands addressed to other tags are ignored.
-  EXPECT_FALSE(tag.on_command({mac::DownlinkType::kPoll, 8, 0, 0, 0}).sends_data);
-}
-
-TEST(Downlink, UnackedTagRejoinsNextFrame) {
-  Rng rng(13);
-  mac::TagProtocol tag(9, rng);
-  (void)tag.on_command({mac::DownlinkType::kQuery, 0, 1, 0, 0});
-  EXPECT_EQ(tag.state(), mac::TagState::kReplied);
-  // No Ack (collision); QueryRep moves it back to ready.
-  (void)tag.on_command({mac::DownlinkType::kQueryRep, 0, 0, 0, 0});
-  EXPECT_EQ(tag.state(), mac::TagState::kReady);
-}
-
-TEST(Inventory, DiscoversEveryTagViaCommands) {
-  Rng rng(17);
-  std::vector<mac::TagProtocol> tags;
-  std::vector<double> snrs;
-  for (std::uint8_t i = 1; i <= 25; ++i) {
-    tags.emplace_back(i, rng);
-    snrs.push_back(20.0 + i);
-  }
-  const auto table = mac::RateTable::paper_default();
-  const mac::GoodputModel model;
-  const auto out = mac::run_inventory(tags, snrs, table, model, {}, rng);
-  EXPECT_EQ(out.discovered.size(), tags.size());
-  for (const auto& t : tags) EXPECT_EQ(t.state(), mac::TagState::kInventoried);
-  EXPECT_GT(out.collisions, 0);  // 25 tags in adaptive frames collide sometimes
-  // Every tag got a rate assignment.
-  for (std::size_t i = 0; i < tags.size(); ++i) {
-    const auto& opt = model.best_option(table, snrs[i]);
-    EXPECT_EQ(tags[i].rate_code(), static_cast<std::uint8_t>(&opt - table.all().data())) << i;
-  }
-}
-
-TEST(Inventory, SurvivesDownlinkLoss) {
-  Rng rng(19);
-  std::vector<mac::TagProtocol> tags;
-  std::vector<double> snrs;
-  for (std::uint8_t i = 1; i <= 10; ++i) {
-    tags.emplace_back(i, rng);
-    snrs.push_back(30.0);
-  }
-  mac::InventoryConfig cfg;
-  cfg.downlink_loss = 0.1;
-  const auto out = mac::run_inventory(tags, snrs, mac::RateTable::paper_default(),
-                                      mac::GoodputModel{}, cfg, rng);
-  EXPECT_EQ(out.discovered.size(), tags.size());
 }
 
 // -------------------------------------------------------- interleaver --

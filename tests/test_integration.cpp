@@ -204,25 +204,23 @@ TEST(Integration, PixelCalibrationRecoversTrueGains) {
   // Ground truth from the tag itself: per-pixel gain relative to the
   // module mean (the module mean is absorbed by the per-module
   // coefficients, so compare normalized shapes).
-  lcm::TagArray truth(tag);
-  const auto check_group = [&](const std::vector<lcm::Module>& mods, int base) {
-    for (std::size_t mi = 0; mi < mods.size(); ++mi) {
-      const auto& px = mods[mi].pixels();
-      double mean = 0.0;
-      for (const auto& pxl : px) mean += pxl.params().gain * pxl.params().area;
-      // Estimated gains are relative to the trained module template, which
-      // already carries the area-weighted mean gain.
-      for (std::size_t wb = 0; wb < px.size(); ++wb) {
-        const double truth_rel = px[wb].params().gain / mean;
-        const double est = bank.pixel_gain(base + static_cast<int>(mi), static_cast<int>(wb))
-                               .real();
-        EXPECT_NEAR(est, truth_rel, 0.06)
-            << "module " << base + static_cast<int>(mi) << " pixel " << wb;
-      }
+  const lcm::TagArray truth(tag);
+  const auto weights = truth.pixel_weights();
+  const auto bits = static_cast<std::size_t>(p.bits_per_axis);
+  const double total_area = static_cast<double>((1 << p.bits_per_axis) - 1);
+  for (std::size_t m = 0; m < weights.size() / bits; ++m) {
+    const auto px = weights.subspan(m * bits, bits);
+    double mean = 0.0;
+    for (const double w : px) mean += w;
+    // Estimated gains are relative to the trained module template, which
+    // already carries the area-weighted mean gain.
+    for (std::size_t wb = 0; wb < bits; ++wb) {
+      const double area = static_cast<double>(1 << (bits - 1 - wb)) / total_area;
+      const double truth_rel = px[wb] / area / mean;
+      const double est = bank.pixel_gain(static_cast<int>(m), static_cast<int>(wb)).real();
+      EXPECT_NEAR(est, truth_rel, 0.06) << "module " << m << " pixel " << wb;
     }
-  };
-  check_group(truth.i_modules(), 0);
-  check_group(truth.q_modules(), p.dsm_order);
+  }
 }
 
 TEST(Integration, PixelCalibrationRemovesDenseConstellationFloor) {

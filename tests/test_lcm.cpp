@@ -1,5 +1,6 @@
-// Tests for the liquid-crystal modulator simulator: cell dynamics, modules,
-// the tag array and the shift-register control chain.
+// Tests for the liquid-crystal modulator simulator: cell dynamics, the
+// pixels and binary-weighted modules of the tag array (on the I and Q
+// polarizer axes), and the tag array's waveform synthesis.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,9 +8,6 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "lcm/lc_cell.h"
-#include "lcm/module.h"
-#include "lcm/pixel.h"
-#include "lcm/shift_register.h"
 #include "lcm/tag_array.h"
 
 namespace rt::lcm {
@@ -118,75 +116,110 @@ TEST(LcCell, RejectsBadInputs) {
 }
 
 TEST(Pixel, BipolarContributionOnPolarizerAxis) {
-  PixelParams p;
-  p.polarizer_angle_rad = 0.0;
-  Pixel px(p);
-  // Relaxed: -1 on the real axis (90deg polarization -> e^{j180deg}).
-  EXPECT_NEAR(std::abs(px.contribution() - Complex(-1.0, 0.0)), 0.0, 1e-12);
-  (void)px.step(true, rt::ms(5.0));
-  EXPECT_NEAR(std::abs(px.contribution() - Complex(1.0, 0.0)), 0.0, 1e-3);
+  // A relaxed pixel sits at -weight on its polarizer axis (I: 1, Q: j); a
+  // fully charged one settles at +weight. Gain spread only, so the axes
+  // stay exact and the weights carry the spread.
+  TagConfig cfg;
+  cfg.dsm_order = 2;
+  cfg.bits_per_axis = 2;
+  cfg.slot_s = rt::ms(10.0);
+  cfg.charge_s = rt::ms(10.0);
+  cfg.heterogeneity.gain_sigma = 0.05;
+  TagArray tag(cfg);
+  const auto w = tag.pixel_weights();
+  const std::size_t half = w.size() / 2;
+  double sum_i = 0.0;
+  double sum_q = 0.0;
+  for (std::size_t p = 0; p < half; ++p) sum_i += w[p];
+  for (std::size_t p = half; p < w.size(); ++p) sum_q += w[p];
+  const auto y = tag.synthesize(
+      std::vector<Firing>{{rt::ms(1.0), 0, 3, 3}, {rt::ms(1.0), 1, 3, 3}}, 40e3, rt::ms(12.0));
+  EXPECT_NEAR(std::abs(y[0] - sig::Complex(-sum_i, -sum_q)), 0.0, 1e-12);
+  EXPECT_NEAR(std::abs(y[y.index_at(rt::ms(10.5))] - sig::Complex(sum_i, sum_q)), 0.0, 1e-3);
 }
 
 TEST(Pixel, QuadraturePixelIsOrthogonal) {
-  PixelParams pi;
-  PixelParams pq;
-  pq.polarizer_angle_rad = rt::deg_to_rad(45.0);
-  Pixel a(pi);
-  Pixel b(pq);
-  // p_I(t) = j p_Q(t): identical scalar dynamics, orthogonal axes.
-  const double dt = rt::ms(0.05);
-  for (int i = 0; i < 100; ++i) {
-    const auto ci = a.step(true, dt);
-    const auto cq = b.step(true, dt);
-    EXPECT_NEAR(std::abs(ci * Complex(0, 1) - cq), 0.0, 1e-12);
-  }
+  // p_I(t) = j p_Q(t): the same firing on the I and on the Q module swings
+  // by the same amount, along orthogonal axes.
+  TagConfig cfg;
+  cfg.dsm_order = 1;
+  cfg.bits_per_axis = 1;
+  const auto run = [&](std::vector<Firing> schedule) {
+    return TagArray(cfg).synthesize(schedule, 40e3, rt::ms(6.0));
+  };
+  const auto idle = run({});
+  const auto wi = run({{rt::ms(0.5), 0, 1, -1}});
+  const auto wq = run({{rt::ms(0.5), 0, -1, 1}});
+  for (std::size_t i = 0; i < wq.size(); ++i)
+    EXPECT_NEAR(std::abs((wi[i] - idle[i]) * sig::Complex(0, 1) - (wq[i] - idle[i])), 0.0, 1e-12)
+        << i;
 }
 
 TEST(Module, BinaryWeightedAreasNormalized) {
-  Rng rng(1);
-  Module m(4, 0.0, {}, rng);
-  ASSERT_EQ(m.bits(), 4);
-  EXPECT_EQ(m.max_level(), 15);
-  // Areas 8:4:2:1 normalized to sum 1.
-  double total = 0.0;
-  for (const auto& px : m.pixels()) total += px.params().area;
-  EXPECT_NEAR(total, 1.0, 1e-12);
-  EXPECT_NEAR(m.pixels()[0].params().area / m.pixels()[3].params().area, 8.0, 1e-12);
+  // Areas 8:4:2:1 normalized so a module's full level swings 1.0.
+  TagConfig cfg;
+  cfg.dsm_order = 3;
+  cfg.bits_per_axis = 4;
+  const TagArray tag(cfg);
+  const auto w = tag.pixel_weights();
+  ASSERT_EQ(w.size(), 2u * 3u * 4u);
+  for (std::size_t m = 0; m < 6; ++m) {
+    const auto px = w.subspan(4 * m, 4);
+    EXPECT_NEAR(px[0] + px[1] + px[2] + px[3], 1.0, 1e-12) << m;
+    EXPECT_NEAR(px[0] / px[3], 8.0, 1e-12) << m;
+    EXPECT_NEAR(px[1] / px[3], 4.0, 1e-12) << m;
+    EXPECT_NEAR(px[2] / px[3], 2.0, 1e-12) << m;
+  }
 }
 
 TEST(Module, SteadyStateSwingProportionalToLevel) {
-  // Drive each level long enough to settle; aggregate real part must be
-  // close to 2 * level / 15 - 1 (bipolar normalized PAM).
+  // Drive one 16-level module long enough to settle: its real part lands
+  // at 2 * level / 15 - 1 (bipolar normalized PAM) while the idle Q module
+  // holds -j.
+  TagConfig cfg;
+  cfg.dsm_order = 1;
+  cfg.bits_per_axis = 4;
+  cfg.slot_s = rt::ms(25.0);
+  cfg.charge_s = rt::ms(20.0);
   for (const int level : {0, 1, 5, 10, 15}) {
-    Rng rng(1);
-    Module m(4, 0.0, {}, rng);
-    m.set_level(level);
-    Complex last{};
-    for (int i = 0; i < 400; ++i) last = m.step(rt::ms(0.05));  // 20 ms settle
+    TagArray tag(cfg);
+    const auto y = tag.synthesize(std::vector<Firing>{{0.0, 0, level, -1}}, 20e3, rt::ms(20.0));
+    const auto last = y[y.size() - 1];
     const double expected = 2.0 * static_cast<double>(level) / 15.0 - 1.0;
     EXPECT_NEAR(last.real(), expected, 0.02) << "level " << level;
-    EXPECT_NEAR(last.imag(), 0.0, 1e-9);
+    EXPECT_NEAR(last.imag(), -1.0, 1e-9) << "level " << level;
   }
 }
 
 TEST(Module, HeterogeneityPerturbsGains) {
-  Rng rng(42);
-  Heterogeneity het;
-  het.gain_sigma = 0.05;
-  het.angle_sigma_rad = rt::deg_to_rad(2.0);
-  Module m(4, 0.0, het, rng);
-  bool any_gain_off = false;
-  for (const auto& px : m.pixels())
-    if (std::abs(px.params().gain - 1.0) > 1e-4) any_gain_off = true;
-  EXPECT_TRUE(any_gain_off);
+  TagConfig cfg;
+  cfg.bits_per_axis = 4;
+  const TagArray ideal(cfg);
+  cfg.seed = 42;
+  cfg.heterogeneity.gain_sigma = 0.05;
+  cfg.heterogeneity.angle_sigma_rad = rt::deg_to_rad(2.0);
+  const TagArray spread(cfg);
+  const auto w0 = ideal.pixel_weights();
+  const auto w = spread.pixel_weights();
+  ASSERT_EQ(w.size(), w0.size());
+  int off = 0;
+  for (std::size_t p = 0; p < w.size(); ++p)
+    if (std::abs(w[p] / w0[p] - 1.0) > 1e-4) ++off;
+  EXPECT_GT(off, 0);
 }
 
 TEST(Module, LevelValidation) {
-  Rng rng(1);
-  Module m(2, 0.0, {}, rng);
-  EXPECT_THROW(m.set_level(4), PreconditionError);
-  EXPECT_THROW(m.set_level(-1), PreconditionError);
-  EXPECT_THROW(Module(0, 0.0, {}, rng), PreconditionError);
+  // Drive levels beyond 2^bits_per_axis - 1 rejected on either axis, and a
+  // module needs at least one pixel.
+  TagConfig cfg;
+  cfg.bits_per_axis = 2;
+  TagArray tag(cfg);
+  EXPECT_THROW((void)tag.synthesize(std::vector<Firing>{{0.0, 0, 4, 1}}, 40e3, rt::ms(1.0)),
+               PreconditionError);
+  EXPECT_THROW((void)tag.synthesize(std::vector<Firing>{{0.0, 0, 1, 4}}, 40e3, rt::ms(1.0)),
+               PreconditionError);
+  cfg.bits_per_axis = 0;
+  EXPECT_THROW(TagArray{cfg}, PreconditionError);
 }
 
 TEST(TagArray, SinglePulseShape) {
@@ -279,6 +312,13 @@ TEST(TagArray, ValidatesConfigAndSchedule) {
   TagConfig bad;
   bad.dsm_order = 0;
   EXPECT_THROW(TagArray{bad}, PreconditionError);
+  // A spread wide enough to draw a non-positive gain or time constant.
+  bad = TagConfig{};
+  bad.heterogeneity.gain_sigma = 10.0;
+  EXPECT_THROW(TagArray{bad}, PreconditionError);
+  bad = TagConfig{};
+  bad.heterogeneity.timing_sigma = 10.0;
+  EXPECT_THROW(TagArray{bad}, PreconditionError);
   TagConfig cfg;
   TagArray tag(cfg);
   EXPECT_THROW((void)tag.synthesize(std::vector<Firing>{{0.0, 99, 1, 1}}, 40e3, rt::ms(1.0)),
@@ -288,53 +328,6 @@ TEST(TagArray, ValidatesConfigAndSchedule) {
                    std::vector<Firing>{{rt::ms(2.0), 0, 1, 1}, {rt::ms(1.0), 1, 1, 1}}, 40e3,
                    rt::ms(5.0)),
                PreconditionError);
-}
-
-TEST(ShiftRegister, ClockAndLatchSemantics) {
-  ShiftRegisterChain chain(1);
-  chain.clock_in(true);
-  chain.clock_in(false);
-  chain.clock_in(true);
-  // Nothing on the outputs until RCLK.
-  for (const auto o : chain.outputs()) EXPECT_EQ(o, 0);
-  chain.latch();
-  // Last bit clocked sits at output 0.
-  EXPECT_EQ(chain.outputs()[0], 1);
-  EXPECT_EQ(chain.outputs()[1], 0);
-  EXPECT_EQ(chain.outputs()[2], 1);
-}
-
-TEST(ShiftRegister, ClearShiftKeepsLatches) {
-  ShiftRegisterChain chain(1);
-  std::vector<std::uint8_t> frame(8, 1);
-  chain.spi_write(frame);
-  chain.clear_shift();
-  for (const auto o : chain.outputs()) EXPECT_EQ(o, 1);  // latches survive SRCLR
-  chain.latch();
-  for (const auto o : chain.outputs()) EXPECT_EQ(o, 0);  // now the cleared shift reg
-}
-
-TEST(ShiftRegister, DaisyChainSpiFrameDrivesPixelsInOrder) {
-  // 64 outputs = 8 registers, as in the prototype (4 LCMs x 16 pixels).
-  ShiftRegisterChain chain(8);
-  const std::vector<int> levels = {0x8, 0x4, 0x2, 0x1, 0xF, 0x0, 0xA, 0x5,
-                                   0x3, 0xC, 0x6, 0x9, 0x7, 0xE, 0xB, 0xD};
-  const auto frame = levels_to_spi_frame(levels, 4);
-  ASSERT_EQ(frame.size(), 64u);
-  chain.spi_write(frame);
-  // Output block i must equal the binary decomposition of levels[i],
-  // LSB-first within the block.
-  for (std::size_t m = 0; m < levels.size(); ++m)
-    for (int b = 0; b < 4; ++b)
-      EXPECT_EQ(chain.outputs()[m * 4 + static_cast<std::size_t>(b)], (levels[m] >> b) & 1)
-          << "module " << m << " bit " << b;
-}
-
-TEST(ShiftRegister, SpiFrameSizeValidation) {
-  ShiftRegisterChain chain(2);
-  const std::vector<std::uint8_t> wrong(8, 0);
-  EXPECT_THROW(chain.spi_write(wrong), PreconditionError);
-  EXPECT_THROW((void)levels_to_spi_frame(std::vector<int>{16}, 4), PreconditionError);
 }
 
 }  // namespace

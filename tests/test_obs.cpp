@@ -16,7 +16,9 @@
 #include <vector>
 
 #include "common/units.h"
-#include "obs/obs.h"
+#include "obs/export.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "runtime/sweep.h"
 #include "sim/link_sim.h"
 

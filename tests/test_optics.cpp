@@ -5,7 +5,6 @@
 #include "optics/ambient.h"
 #include "optics/link_budget.h"
 #include "optics/polarization.h"
-#include "optics/retroreflector.h"
 
 namespace rt::optics {
 namespace {
@@ -114,13 +113,6 @@ TEST(Ambient, PresetsAndScaling) {
   const double ratio =
       AmbientLight::day().shot_noise_sigma() / AmbientLight::dark().shot_noise_sigma();
   EXPECT_NEAR(ratio, std::sqrt(1000.0 / 20.0), 1e-9);
-}
-
-TEST(Retroreflector, YawShrinksGain) {
-  const Retroreflector r;
-  EXPECT_GT(r.gain(0.0), r.gain(deg_to_rad(30.0)));
-  EXPECT_NEAR(r.gain(deg_to_rad(60.0)) / r.gain(0.0), 0.25, 1e-9);  // cos^2
-  EXPECT_THROW((void)r.gain(deg_to_rad(90.0)), PreconditionError);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // grids (TEST_P / INSTANTIATE_TEST_SUITE_P).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
 
 #include "coding/reed_solomon.h"
@@ -122,12 +123,17 @@ INSTANTIATE_TEST_SUITE_P(BothPresets, LinkBudgetProperty, ::testing::Values(0, 1
 
 // --------------------------------------------- end-to-end PHY configs --
 
+// gtest prints this parameter's raw bytes into the ctest names, so the
+// struct must have no padding: padding bytes hold whatever the stack held,
+// and the names would change from run to run.
 struct E2eConfig {
   int dsm_order;
   int bits_per_axis;
   double slot_ms;
-  bool use_q;
+  std::int64_t use_q;  ///< 0 or 1, full width so nothing pads the struct
 };
+static_assert(sizeof(E2eConfig) == 2 * sizeof(int) + sizeof(double) + sizeof(std::int64_t),
+              "E2eConfig must have no padding bytes");
 
 class EndToEndProperty : public ::testing::TestWithParam<E2eConfig> {};
 
@@ -138,7 +144,7 @@ TEST_P(EndToEndProperty, NoiselessRoundTripIsExact) {
   p.bits_per_axis = cfg.bits_per_axis;
   p.slot_s = rt::ms(cfg.slot_ms);
   p.charge_s = rt::ms(0.5);
-  p.use_q_channel = cfg.use_q;
+  p.use_q_channel = cfg.use_q != 0;
   p.preamble_slots = 32;
   p.equalizer_branches = 8;
 
