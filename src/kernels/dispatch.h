@@ -1,28 +1,20 @@
-// Backend dispatch / SIMD pack layer. This header is the ONLY file in the
-// repository allowed to contain intrinsics (`immintrin.h`) -- rt_check
+// SIMD pack layer of the kernel backends. This header is the ONLY file in
+// the repository allowed to contain intrinsics (`immintrin.h`) -- rt_check
 // rule C5 enforces that; kernels_avx2.cpp is written entirely against the
 // wrappers below.
 //
 // The AVX2 section is compiled only inside the kernels_avx2.cpp TU (built
-// with -mavx2 -mfma -ffp-contract=off when RT_SIMD=ON); everywhere else
-// this header degrades to the portable scalar batch from batch.h.
+// with -mavx2 -ffp-contract=off on x86-64); everywhere else it is empty.
+// Choosing between the scalar and AVX2 backends at run time is
+// kernels.cpp's job, not this header's.
 //
-// vpack4d / vpack8f are the AVX2 backends of the `kernels::batch<T>`
-// abstraction (4 doubles / 8 floats per 256-bit register). They carry the
-// extra lane-shuffle helpers the complex-arithmetic kernels need; the
-// scalar batch<T> never needs them because one lane has no pairs to
-// shuffle.
-//
-// FMA policy: `fmadd`/`fnmadd` fuse, so they may only be used in
-// REDUCTION kernels (whose cross-backend tolerance is documented and
-// test-enforced). Elementwise kernels must use the plain operators -- the
-// TU is built with -ffp-contract=off, so those never contract and stay
-// bit-identical to the scalar backend.
+// vpack4d is a 4-wide double pack with the lane-shuffle helpers the
+// complex-arithmetic kernels need. It offers no fused multiply-add: the
+// reduction specification in kernels.h rounds every product before it is
+// added, and the TU never contracts a*b + c on its own.
 #pragma once
 
 #include <cstddef>
-
-#include "kernels/batch.h"
 
 #if defined(__AVX2__)
 
@@ -37,7 +29,7 @@ inline __m256i tail_mask4(std::size_t n) {
   return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(kLanes + (4 - n)));
 }
 
-/// 4-wide double pack (AVX2 backend of kernels::batch<double>).
+/// 4-wide double pack: one 256-bit AVX2 register.
 struct vpack4d {
   __m256d v;
   static constexpr std::size_t width = 4;
@@ -57,21 +49,6 @@ struct vpack4d {
   friend vpack4d operator-(vpack4d a, vpack4d b) { return {_mm256_sub_pd(a.v, b.v)}; }
   friend vpack4d operator*(vpack4d a, vpack4d b) { return {_mm256_mul_pd(a.v, b.v)}; }
   friend vpack4d operator/(vpack4d a, vpack4d b) { return {_mm256_div_pd(a.v, b.v)}; }
-};
-
-/// 8-wide float pack (AVX2 backend of kernels::batch<float>). Present for
-/// completeness of the batch abstraction; the pipeline is double-typed.
-struct vpack8f {
-  __m256 v;
-  static constexpr std::size_t width = 8;
-
-  static vpack8f load(const float* p) { return {_mm256_loadu_ps(p)}; }
-  static vpack8f broadcast(float x) { return {_mm256_set1_ps(x)}; }
-  void store(float* p) const { _mm256_storeu_ps(p, v); }
-
-  friend vpack8f operator+(vpack8f a, vpack8f b) { return {_mm256_add_ps(a.v, b.v)}; }
-  friend vpack8f operator-(vpack8f a, vpack8f b) { return {_mm256_sub_ps(a.v, b.v)}; }
-  friend vpack8f operator*(vpack8f a, vpack8f b) { return {_mm256_mul_ps(a.v, b.v)}; }
 };
 
 inline vpack4d min(vpack4d a, vpack4d b) { return {_mm256_min_pd(a.v, b.v)}; }
@@ -135,16 +112,6 @@ inline vpack4d broadcast_pair(double re, double im) {
 inline vpack4d load_dup2(const double* p) {
   const __m256d two = _mm256_castpd128_pd256(_mm_loadu_pd(p));
   return {_mm256_permute4x64_pd(two, 0x50)};
-}
-
-/// Fused a*b + acc. Reduction kernels only (see FMA policy above).
-inline vpack4d fmadd(vpack4d a, vpack4d b, vpack4d acc) {
-  return {_mm256_fmadd_pd(a.v, b.v, acc.v)};
-}
-
-/// Fused -(a*b) + acc. Reduction kernels only.
-inline vpack4d fnmadd(vpack4d a, vpack4d b, vpack4d acc) {
-  return {_mm256_fnmadd_pd(a.v, b.v, acc.v)};
 }
 
 /// Horizontal sum in the fixed order (l0 + l1) + (l2 + l3).

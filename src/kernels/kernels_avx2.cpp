@@ -1,23 +1,19 @@
 // rt-lint: no-preconditions (leaf math kernels: same contract as
 // kernels_scalar.cpp, which is the specification for these bodies)
-// AVX2 backend. Built only when RT_SIMD=ON, with per-file flags
-// -mavx2 -mfma -ffp-contract=off (src/kernels/CMakeLists.txt).
+// AVX2 backend. Compiled on every x86-64 build with per-file flags
+// -mavx2 -ffp-contract=off (src/kernels/CMakeLists.txt); kernels.cpp calls
+// it only on hosts whose CPU reports AVX2.
 //
 // Written entirely against the pack wrappers in dispatch.h -- no
 // intrinsics here (rt_check C5 allows them in dispatch.h only).
 //
-// Equivalence notes against kernels_scalar.cpp (the specification):
+// Every body gives the same bits as its kernels_scalar.cpp twin:
 //  - elementwise kernels use only the plain lane operators (+,-,*,/),
-//    XOR sign flips and lane selects, with contraction disabled, so each
-//    output element runs the scalar op chain bit-for-bit;
-//  - reduction kernels accumulate in 4 independent lanes with explicit
-//    FMA and combine in a fixed order, which reassociates relative to the
-//    scalar left-to-right sum: tests/test_kernels.cpp enforces the
-//    documented <= 1e-12 relative tolerance;
-//  - small fixed-size or shuffle-only helpers (split_complex,
-//    phase_score_max, cdotu) forward to the scalar backend: they are not
-//    on the measured hot paths and forwarding keeps them bit-identical
-//    by construction.
+//    XOR sign flips and lane selects, so each output element runs the
+//    scalar op chain;
+//  - reductions ARE the lane order kernels.h specifies: one vector
+//    accumulator is the four lanes, updated as acc + a*b (no FMA), then
+//    combined in the documented order with the tail added after.
 #include <algorithm>
 #include <cmath>
 #include <complex>
@@ -33,7 +29,7 @@ namespace rt::kernels::avx2 {
 
 namespace {
 
-constexpr double kMaxSubstep = 10e-6;  // mirrors lcm/lc_cell.cpp
+constexpr double kMaxSubstep = 10e-6;  // mirrors kernels_scalar.cpp
 
 constexpr std::size_t kMaxDfeTerms = 32;  // stack cap for hoisted weights
 
@@ -41,69 +37,6 @@ inline const double* as_doubles(const Complex* p) {
   return reinterpret_cast<const double*>(p);
 }
 inline double* as_doubles(Complex* p) { return reinterpret_cast<double*>(p); }
-
-}  // namespace
-
-void lc_step(std::size_t n, double dt, const double* drive, double* c, double* s,
-             const LcBankParams& p) {
-  if (dt <= 0.0) return;
-  const vpack4d one = vpack4d::broadcast(1.0);
-  const vpack4d zero = vpack4d::zero();
-  const vpack4d k_mem = vpack4d::broadcast(p.k_mem);
-  const vpack4d tau_slow = vpack4d::broadcast(p.tau_slow);
-  const vpack4d tau_memory = vpack4d::broadcast(p.tau_memory);
-  const vpack4d two = vpack4d::broadcast(2.0);
-  for (std::size_t i = 0; i < n; i += vpack4d::width) {
-    const std::size_t m = std::min(vpack4d::width, n - i);
-    const bool full = m == vpack4d::width;
-    const auto part = [&](const double* ptr) {
-      return full ? vpack4d::load(ptr) : vpack4d::load_partial(ptr, m);
-    };
-    // Masked tail lanes load 0.0; their (finite or inf) garbage results
-    // are discarded by the masked store below.
-    const vpack4d mask_d = cmp_neq(part(drive + i), zero);
-    const vpack4d tc = part(p.tau_charge + i);
-    const vpack4d tr = part(p.tau_relax + i);
-    vpack4d ci = part(c + i);
-    vpack4d si = part(s + i);
-    const auto fc = [&](vpack4d cc, vpack4d ss) {
-      const vpack4d tau = tc * (one + k_mem * (one - ss));
-      const vpack4d fd = (one - cc) / tau;
-      const vpack4d fr = neg(cc) * (one - cc) / tr - cc / tau_slow;
-      return select(mask_d, fd, fr);
-    };
-    const auto fs = [&](vpack4d cc, vpack4d ss) { return (cc - ss) / tau_memory; };
-    double remaining = dt;
-    while (remaining > 0.0) {
-      const double h = std::min(remaining, kMaxSubstep);
-      const vpack4d hh = vpack4d::broadcast(0.5 * h);
-      const vpack4d hv = vpack4d::broadcast(h);
-      const vpack4d hd6 = vpack4d::broadcast(h / 6.0);
-      const vpack4d k1c = fc(ci, si);
-      const vpack4d k1s = fs(ci, si);
-      const vpack4d k2c = fc(ci + hh * k1c, si + hh * k1s);
-      const vpack4d k2s = fs(ci + hh * k1c, si + hh * k1s);
-      const vpack4d k3c = fc(ci + hh * k2c, si + hh * k2s);
-      const vpack4d k3s = fs(ci + hh * k2c, si + hh * k2s);
-      const vpack4d k4c = fc(ci + hv * k3c, si + hv * k3s);
-      const vpack4d k4s = fs(ci + hv * k3c, si + hv * k3s);
-      ci = ci + hd6 * (k1c + two * k2c + two * k3c + k4c);
-      si = si + hd6 * (k1s + two * k2s + two * k3s + k4s);
-      ci = min(max(ci, zero), one);
-      si = min(max(si, zero), one);
-      remaining -= h;
-    }
-    if (full) {
-      ci.store(c + i);
-      si.store(s + i);
-    } else {
-      ci.store_partial(c + i, m);
-      si.store_partial(s + i, m);
-    }
-  }
-}
-
-namespace {
 
 // One 4-pixel group's segment state for lc_step_run: the drive mask and
 // taus are segment constants, the (c, s) registers carry across samples.
@@ -371,10 +304,6 @@ void caxpy_real(std::size_t n, Complex a, const double* x, Complex* y) {
   if (n2 != n) scalar::caxpy_real(1, a, x + n2, y + n2);
 }
 
-void split_complex(std::size_t n, const Complex* x, double* re, double* im) {
-  scalar::split_complex(n, x, re, im);
-}
-
 void dfe_residual(std::size_t n, const Complex* src, Complex* dst, const CTerm* terms,
                   std::size_t n_terms) {
   if (n_terms > kMaxDfeTerms) {
@@ -406,16 +335,11 @@ void dfe_residual(std::size_t n, const Complex* src, Complex* dst, const CTerm* 
   }
 }
 
-double phase_score_max(std::size_t k, const double* rot_re, const double* rot_im, double c_re,
-                       double c_im) {
-  return scalar::phase_score_max(k, rot_re, rot_im, c_re, c_im);
-}
-
 double dot_real(std::size_t n, const double* a, const double* b) {
   const std::size_t n4 = n & ~std::size_t{3};
   vpack4d acc = vpack4d::zero();
   for (std::size_t i = 0; i < n4; i += 4) {
-    acc = fmadd(vpack4d::load(a + i), vpack4d::load(b + i), acc);
+    acc = acc + vpack4d::load(a + i) * vpack4d::load(b + i);
   }
   double s = reduce_add(acc);
   for (std::size_t i = n4; i < n; ++i) s += a[i] * b[i];
@@ -431,8 +355,8 @@ Complex cdotc(std::size_t n, const Complex* a, const Complex* b) {
   for (std::size_t i = 0; i < n2; i += 2) {
     const vpack4d va = vpack4d::load(ap + 2 * i);
     const vpack4d vb = vpack4d::load(bp + 2 * i);
-    acc_rr = fmadd(va, vb, acc_rr);
-    acc_ri = fmadd(va, swap_pairs(vb), acc_ri);
+    acc_rr = acc_rr + va * vb;
+    acc_ri = acc_ri + va * swap_pairs(vb);
   }
   double lr[4];
   double li[4];
@@ -448,60 +372,11 @@ Complex cdotc(std::size_t n, const Complex* a, const Complex* b) {
   return Complex{re, im};
 }
 
-Complex cdotu(std::size_t n, const Complex* a, const Complex* b) {
-  return scalar::cdotu(n, a, b);
-}
-
-double sum_sq_real(std::size_t n, const double* x) {
-  const std::size_t n4 = n & ~std::size_t{3};
-  vpack4d acc = vpack4d::zero();
-  for (std::size_t i = 0; i < n4; i += 4) {
-    const vpack4d v = vpack4d::load(x + i);
-    acc = fmadd(v, v, acc);
-  }
-  double s = reduce_add(acc);
-  for (std::size_t i = n4; i < n; ++i) s += x[i] * x[i];
-  return s;
-}
+double sum_sq_real(std::size_t n, const double* x) { return avx2::dot_real(n, x, x); }
 
 double sum_norm_cplx(std::size_t n, const Complex* x) {
   // |z|^2 summed over interleaved lanes == sum of squares of 2n doubles.
   return avx2::sum_sq_real(2 * n, as_doubles(x));
-}
-
-CorrStats corr_stats(std::size_t n, const Complex* ref, const Complex* x) {
-  const std::size_t n2 = n & ~std::size_t{1};
-  vpack4d acc_rr = vpack4d::zero();
-  vpack4d acc_ri = vpack4d::zero();
-  vpack4d acc_w = vpack4d::zero();
-  vpack4d acc_e = vpack4d::zero();
-  const double* rp = as_doubles(ref);
-  const double* xp = as_doubles(x);
-  for (std::size_t i = 0; i < n2; i += 2) {
-    const vpack4d r = vpack4d::load(rp + 2 * i);
-    const vpack4d v = vpack4d::load(xp + 2 * i);
-    acc_rr = fmadd(r, v, acc_rr);
-    acc_ri = fmadd(r, swap_pairs(v), acc_ri);
-    acc_w = acc_w + v;
-    acc_e = fmadd(v, v, acc_e);
-  }
-  double lr[4];
-  double li[4];
-  double lw[4];
-  lanes(acc_rr, lr);
-  lanes(acc_ri, li);
-  lanes(acc_w, lw);
-  CorrStats st{};
-  st.acc = Complex{(lr[0] + lr[1]) + (lr[2] + lr[3]), (li[0] - li[1]) + (li[2] - li[3])};
-  st.wsum = Complex{lw[0] + lw[2], lw[1] + lw[3]};
-  st.wenergy = reduce_add(acc_e);
-  for (std::size_t i = n2; i < n; ++i) {
-    const Complex v = x[i];
-    st.acc += std::conj(ref[i]) * v;
-    st.wsum += v;
-    st.wenergy += std::norm(v);
-  }
-  return st;
 }
 
 CorrStats corr_stats_split(std::size_t n, const double* ref_re, const double* ref_im,
@@ -517,11 +392,11 @@ CorrStats corr_stats_split(std::size_t n, const double* ref_re, const double* re
     const vpack4d ri = vpack4d::load(ref_im + i);
     const vpack4d xr = vpack4d::load(x_re + i);
     const vpack4d xi = vpack4d::load(x_im + i);
-    a_re = fmadd(ri, xi, fmadd(rr, xr, a_re));
-    a_im = fnmadd(ri, xr, fmadd(rr, xi, a_im));
+    a_re = a_re + rr * xr + ri * xi;
+    a_im = a_im + rr * xi - ri * xr;
     a_wr = a_wr + xr;
     a_wi = a_wi + xi;
-    a_e = fmadd(xi, xi, fmadd(xr, xr, a_e));
+    a_e = a_e + xr * xr + xi * xi;
   }
   double re = reduce_add(a_re);
   double im = reduce_add(a_im);
@@ -558,7 +433,7 @@ double dfe_score(std::size_t n, const Complex* residual, const CTerm* terms,
       const vpack4d tm = vpack4d::load(as_doubles(terms[t].tmpl) + 2 * k);
       e = e - (wr[t] * tm + neg_even(wi[t] * swap_pairs(tm)));
     }
-    acc = fmadd(e, e, acc);
+    acc = acc + e * e;
   }
   double score = reduce_add(acc);
   if (n2 != n) {
@@ -570,13 +445,12 @@ double dfe_score(std::size_t n, const Complex* residual, const CTerm* terms,
   return score;
 }
 
-Complex fir_dot(std::size_t nt, const double* taps, const double* taps_rev, const Complex* xw) {
-  static_cast<void>(taps);
+Complex fir_dot(std::size_t nt, const double* taps_rev, const Complex* xw) {
   const std::size_t n2 = nt & ~std::size_t{1};
   vpack4d acc = vpack4d::zero();
   const double* xp = as_doubles(xw);
   for (std::size_t k = 0; k < n2; k += 2) {
-    acc = fmadd(vpack4d::load(xp + 2 * k), load_dup2(taps_rev + k), acc);
+    acc = acc + vpack4d::load(xp + 2 * k) * load_dup2(taps_rev + k);
   }
   double l[4];
   lanes(acc, l);
@@ -587,14 +461,6 @@ Complex fir_dot(std::size_t nt, const double* taps, const double* taps_rev, cons
     im += xw[k].imag() * taps_rev[k];
   }
   return Complex{re, im};
-}
-
-// sum_k taps[k] * xw[nt-1-k] == dot(taps_rev, xw): the reversed-tap copy
-// makes both operands contiguous ascending.
-double fir_dot_real(std::size_t nt, const double* taps, const double* taps_rev,
-                    const double* xw) {
-  static_cast<void>(taps);
-  return avx2::dot_real(nt, taps_rev, xw);
 }
 
 }  // namespace rt::kernels::avx2

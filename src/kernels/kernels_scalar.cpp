@@ -1,12 +1,13 @@
 // rt-lint: no-preconditions (leaf math kernels: size-0 is valid, pointers
 // are pre-validated by the owning stages, and a branch per call would sit
 // on the hottest loops in the repo)
-// Scalar reference backend. These bodies are the SPECIFICATION: each one
-// reproduces, operation for operation, the sequential loop it replaced in
-// the pipeline (see the per-kernel notes), so a scalar build is
-// bit-identical to the pre-kernel-layer pipeline. The AVX2 backend
-// (kernels_avx2.cpp) must match these bit-for-bit on elementwise kernels
-// and within the documented tolerance on reductions.
+// Scalar backend, and the specification the AVX2 backend
+// (kernels_avx2.cpp) must match bit for bit. Elementwise kernels are the
+// sequential loops they replaced in the pipeline (see the per-kernel
+// notes). Reductions are written out in the lane order kernels.h
+// specifies, so each one names its four lane accumulators. Built with
+// -ffp-contract=off (src/kernels/CMakeLists.txt): a contracted a*b + c
+// would round once where the specification rounds twice.
 #include <algorithm>
 #include <cmath>
 #include <complex>
@@ -16,9 +17,26 @@
 namespace rt::kernels::scalar {
 
 namespace {
+
 // Mirrors lcm/lc_cell.cpp: 10 us substeps keep RK4 error negligible
 // against tau >= 0.1 ms.
 constexpr double kMaxSubstep = 10e-6;
+
+const double* as_doubles(const Complex* p) { return reinterpret_cast<const double*>(p); }
+
+// The four lane accumulators of a reduction: lane j takes double j of
+// every 4-double vector, and sum() combines them in the fixed order.
+struct Lanes {
+  double l[4] = {};
+  void add(double t0, double t1, double t2, double t3) {
+    l[0] += t0;
+    l[1] += t1;
+    l[2] += t2;
+    l[3] += t3;
+  }
+  double sum() const { return (l[0] + l[1]) + (l[2] + l[3]); }
+};
+
 }  // namespace
 
 // Replaces lcm::LcCell::step applied pixel-by-pixel: same coupled (c, s)
@@ -80,9 +98,7 @@ void lc_step_run(std::size_t n, std::size_t t_steps, double dt, const double* dr
     return;
   }
   for (std::size_t t = 0; t < t_steps; ++t) {
-    // Qualified: under RT_SIMD, ADL on LcBankParams would also see the
-    // rt::kernels-level `using dispatch::lc_step` and call it ambiguous.
-    scalar::lc_step(n, dt, drive, c, s, p);
+    lc_step(n, dt, drive, c, s, p);
     double* row = c_out + t * n;
     for (std::size_t i = 0; i < n; ++i) row[i] = c[i];
   }
@@ -145,8 +161,7 @@ void dfe_residual(std::size_t n, const Complex* src, Complex* dst, const CTerm* 
 }
 
 // Replaces stream::PhaseBank::score: max_k Re(rotor_k * c) over the
-// split-plane rotor bank. Max is order-independent, so this reduction is
-// bit-identical across backends.
+// split-plane rotor bank.
 double phase_score_max(std::size_t k, const double* rot_re, const double* rot_im, double c_re,
                        double c_im) {
   double best = rot_re[0] * c_re - rot_im[0] * c_im;
@@ -157,22 +172,43 @@ double phase_score_max(std::size_t k, const double* rot_re, const double* rot_im
   return best;
 }
 
-// Replaces linalg::dot<double>: sequential left-to-right accumulation.
+// Replaces linalg::dot<double>.
 double dot_real(std::size_t n, const double* a, const double* b) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < n; ++i) s += a[i] * b[i];
+  const std::size_t n4 = n & ~std::size_t{3};
+  Lanes acc;
+  for (std::size_t i = 0; i < n4; i += 4)
+    acc.add(a[i] * b[i], a[i + 1] * b[i + 1], a[i + 2] * b[i + 2], a[i + 3] * b[i + 3]);
+  double s = acc.sum();
+  for (std::size_t i = n4; i < n; ++i) s += a[i] * b[i];
   return s;
 }
 
-// Replaces linalg::dot<Complex>: s += conj(a[i]) * b[i].
+// Replaces linalg::dot<Complex>: sum conj(a[i]) * b[i], two samples per
+// vector. `rr` gathers ar*br, ai*bi, ar*br, ai*bi and `ri` gathers ar*bi,
+// ai*br, ar*bi, ai*br, so the imaginary part combines its lanes as
+// (l0 - l1) + (l2 - l3).
 Complex cdotc(std::size_t n, const Complex* a, const Complex* b) {
-  Complex s{};
-  for (std::size_t i = 0; i < n; ++i) s += std::conj(a[i]) * b[i];
-  return s;
+  const std::size_t n2 = n & ~std::size_t{1};
+  Lanes rr;
+  Lanes ri;
+  for (std::size_t i = 0; i < 2 * n2; i += 4) {
+    const double* x = as_doubles(a) + i;
+    const double* y = as_doubles(b) + i;
+    rr.add(x[0] * y[0], x[1] * y[1], x[2] * y[2], x[3] * y[3]);
+    ri.add(x[0] * y[1], x[1] * y[0], x[2] * y[3], x[3] * y[2]);
+  }
+  double re = rr.sum();
+  double im = (ri.l[0] - ri.l[1]) + (ri.l[2] - ri.l[3]);
+  for (std::size_t i = n2; i < n; ++i) {
+    const Complex t = std::conj(a[i]) * b[i];
+    re += t.real();
+    im += t.imag();
+  }
+  return Complex{re, im};
 }
 
 // Plain (unconjugated) complex dot, for the row-contiguous accumulation
-// in linalg::residual_norm.
+// in linalg::residual_norm. Sequential: it has no AVX2 body to match.
 Complex cdotu(std::size_t n, const Complex* a, const Complex* b) {
   Complex s{};
   for (std::size_t i = 0; i < n; ++i) s += a[i] * b[i];
@@ -181,88 +217,94 @@ Complex cdotu(std::size_t n, const Complex* a, const Complex* b) {
 
 // Replaces the ridge column-norm accumulation in phy/training.cpp and
 // linalg::norm<double> (caller takes the sqrt).
-double sum_sq_real(std::size_t n, const double* x) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < n; ++i) s += x[i] * x[i];
-  return s;
-}
+double sum_sq_real(std::size_t n, const double* x) { return dot_real(n, x, x); }
 
 // Replaces the rest-slot metric in phy/equalizer.cpp and
-// linalg::norm<Complex> (caller takes the sqrt).
+// linalg::norm<Complex> (caller takes the sqrt): the sum of squares of
+// the 2n interleaved doubles.
 double sum_norm_cplx(std::size_t n, const Complex* x) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < n; ++i) s += std::norm(x[i]);
-  return s;
+  return sum_sq_real(2 * n, as_doubles(x));
 }
 
-// Replaces the window statistics loop of sig::correlation_centered_at:
-// one pass accumulating conj(ref)*x, sum x, sum |x|^2 in that per-sample
-// order.
-CorrStats corr_stats(std::size_t n, const Complex* ref, const Complex* x) {
-  CorrStats st{};
-  for (std::size_t i = 0; i < n; ++i) {
-    const Complex v = x[i];
-    st.acc += std::conj(ref[i]) * v;
-    st.wsum += v;
-    st.wenergy += std::norm(v);
+// Centred-correlation window sums over split re/im planes (the streaming
+// receiver's scan and sync). Lane j takes the samples i = j mod 4, each
+// through the op chain the AVX2 body runs on its vectors. The loop over
+// lanes lets the compiler pair them in SSE2 registers; twenty named
+// accumulators would spill.
+CorrStats corr_stats_split(std::size_t n, const double* ref_re, const double* ref_im,
+                           const double* x_re, const double* x_im) {
+  const std::size_t n4 = n & ~std::size_t{3};
+  Lanes re;
+  Lanes im;
+  Lanes wr;
+  Lanes wi;
+  Lanes we;
+  for (std::size_t i = 0; i < n4; i += 4) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      const double rr = ref_re[i + j];
+      const double ri = ref_im[i + j];
+      const double xr = x_re[i + j];
+      const double xi = x_im[i + j];
+      re.l[j] = re.l[j] + rr * xr + ri * xi;
+      im.l[j] = im.l[j] + rr * xi - ri * xr;
+      wr.l[j] += xr;
+      wi.l[j] += xi;
+      we.l[j] = we.l[j] + xr * xr + xi * xi;
+    }
+  }
+  CorrStats st{Complex{re.sum(), im.sum()}, Complex{wr.sum(), wi.sum()}, we.sum()};
+  for (std::size_t i = n4; i < n; ++i) {
+    const double xr = x_re[i];
+    const double xi = x_im[i];
+    st.acc += Complex{ref_re[i] * xr + ref_im[i] * xi, ref_re[i] * xi - ref_im[i] * xr};
+    st.wsum += Complex{xr, xi};
+    st.wenergy += xr * xr + xi * xi;
   }
   return st;
 }
 
-// Split-plane form of corr_stats for the SoA streaming scan buffers.
-// conj(ref)*x expands to (rr*xr + ri*xi, rr*xi - ri*xr), which is bitwise
-// identical to the interleaved std::complex product (negation and
-// x - (-y) are exact).
-CorrStats corr_stats_split(std::size_t n, const double* ref_re, const double* ref_im,
-                           const double* x_re, const double* x_im) {
-  double acc_re = 0.0;
-  double acc_im = 0.0;
-  double wsum_re = 0.0;
-  double wsum_im = 0.0;
-  double wenergy = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double xr = x_re[i];
-    const double xi = x_im[i];
-    acc_re += ref_re[i] * xr + ref_im[i] * xi;
-    acc_im += ref_re[i] * xi - ref_im[i] * xr;
-    wsum_re += xr;
-    wsum_im += xi;
-    wenergy += xr * xr + xi * xi;
-  }
-  return CorrStats{Complex{acc_re, acc_im}, Complex{wsum_re, wsum_im}, wenergy};
-}
-
 // Replaces the fused candidate-scoring loop in phy/equalizer.cpp:
-// sum_k |residual[k] - sum_t w_t * tmpl_t[k]|^2.
+// sum_k |residual[k] - sum_t w_t * tmpl_t[k]|^2, two samples per vector
+// (lanes: e0.re^2, e0.im^2, e1.re^2, e1.im^2 for errors e0, e1).
 double dfe_score(std::size_t n, const Complex* residual, const CTerm* terms,
                  std::size_t n_terms) {
-  double score = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
+  const auto error = [&](std::size_t k) {
     Complex e = residual[k];
     for (std::size_t t = 0; t < n_terms; ++t) e -= terms[t].w * terms[t].tmpl[k];
-    score += std::norm(e);
+    return e;
+  };
+  const std::size_t n2 = n & ~std::size_t{1};
+  Lanes acc;
+  for (std::size_t k = 0; k < n2; k += 2) {
+    const Complex e0 = error(k);
+    const Complex e1 = error(k + 1);
+    acc.add(e0.real() * e0.real(), e0.imag() * e0.imag(), e1.real() * e1.real(),
+            e1.imag() * e1.imag());
   }
+  double score = acc.sum();
+  if (n2 != n) score += std::norm(error(n2));
   return score;
 }
 
 // Replaces the interior (no edge clipping) tap loop of sig::FirFilter:
-// sum_k xw[nt-1-k] * taps[k], ascending k exactly as the original loop
-// walked it. taps_rev is unused here; the AVX2 backend consumes it.
-Complex fir_dot(std::size_t nt, const double* taps, const double* taps_rev, const Complex* xw) {
-  static_cast<void>(taps_rev);
-  Complex acc{};
-  for (std::size_t k = 0; k < nt; ++k) acc += xw[nt - 1 - k] * taps[k];
-  return acc;
-}
-
-// Real-waveform twin of fir_dot (frontend band-pass on the photodiode
-// signal); same tap order contract.
-double fir_dot_real(std::size_t nt, const double* taps, const double* taps_rev,
-                    const double* xw) {
-  static_cast<void>(taps_rev);
-  double acc = 0.0;
-  for (std::size_t k = 0; k < nt; ++k) acc += xw[nt - 1 - k] * taps[k];
-  return acc;
+// sum_k xw[k] * taps_rev[k], the reversed-tap copy making both operands
+// ascending. Two samples per vector (lanes: x0.re*t0, x0.im*t0, x1.re*t1,
+// x1.im*t1), so re = l0 + l2 and im = l1 + l3.
+Complex fir_dot(std::size_t nt, const double* taps_rev, const Complex* xw) {
+  const std::size_t n2 = nt & ~std::size_t{1};
+  Lanes acc;
+  for (std::size_t k = 0; k < n2; k += 2) {
+    const double* x = as_doubles(xw) + 2 * k;
+    acc.add(x[0] * taps_rev[k], x[1] * taps_rev[k], x[2] * taps_rev[k + 1],
+            x[3] * taps_rev[k + 1]);
+  }
+  double re = acc.l[0] + acc.l[2];
+  double im = acc.l[1] + acc.l[3];
+  for (std::size_t k = n2; k < nt; ++k) {
+    re += xw[k].real() * taps_rev[k];
+    im += xw[k].imag() * taps_rev[k];
+  }
+  return Complex{re, im};
 }
 
 }  // namespace rt::kernels::scalar

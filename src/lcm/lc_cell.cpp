@@ -9,9 +9,8 @@ double LcCell::step(bool driven, double dt) {
   if (dt == 0.0) return c_;
 
   // Single-cell slice of the batched director ODE kernel (coupled (c, s)
-  // RK4 with 10 us substeps). The kernel is elementwise, so this is
-  // bit-identical under both backends to the original in-class loop --
-  // kernels_scalar.cpp::lc_step is that loop, verbatim.
+  // RK4 with 10 us substeps). kernels::lc_step has only a scalar body:
+  // the original in-class loop, verbatim.
   const double drive = driven ? 1.0 : 0.0;
   const kernels::LcBankParams p{&t_.tau_charge_s, &t_.tau_relax_s, t_.tau_slow_s,
                                 t_.tau_memory_s, t_.memory_coupling};

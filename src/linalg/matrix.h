@@ -182,8 +182,8 @@ using RealMatrix = Matrix<double>;
 using ComplexMatrix = Matrix<std::complex<double>>;
 
 /// Inner product <a, b> = sum conj(a_i) * b_i. Dispatches to the kernel
-/// layer (src/kernels): the scalar backend is the original sequential
-/// loop; the AVX2 backend reassociates within the documented tolerance.
+/// layer (src/kernels), which sums in its four-lane order on every
+/// backend.
 template <typename T>
 [[nodiscard]] T dot(std::span<const T> a, std::span<const T> b) {
   RT_ENSURE(a.size() == b.size(), "dot dimension mismatch");

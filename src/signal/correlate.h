@@ -23,8 +23,6 @@ namespace rt::sig {
   std::vector<double> out(n, 0.0);
   if (ref_energy == 0.0) return out;
   for (std::size_t t = 0; t < n; ++t) {
-    // Independent accumulation chains, so the split kernel calls keep the
-    // scalar backend bit-identical to the old fused loop.
     const Complex acc = kernels::cdotc(ref.size(), ref.data(), x.data() + t);
     const double x_energy = kernels::sum_norm_cplx(ref.size(), x.data() + t);
     out[t] = x_energy > 0.0 ? std::abs(acc) / std::sqrt(ref_energy * x_energy) : 0.0;
@@ -94,32 +92,15 @@ inline void sliding_correlation_centered_into(std::span<const Complex> x,
 }
 
 /// Normalizes raw window sums into the centred correlation value:
-/// acc / sqrt(ref_energy * (wenergy - |wsum|^2 / k)). Shared by
-/// correlation_centered_at and the streaming receiver's split-plane scan,
-/// so both normalize with the exact same op chain.
+/// acc / sqrt(ref_energy * (wenergy - |wsum|^2 / k)). The sums come from
+/// kernels::corr_stats_split over one window alone, so the value is a pure
+/// function of those k samples -- the streaming receiver's scan and sync
+/// rely on that for chunk-size invariance.
 [[nodiscard]] inline Complex centered_correlation_from_stats(const kernels::CorrStats& st,
                                                              double ref_energy, std::size_t k) {
   if (k == 0 || ref_energy == 0.0) return Complex{};
   const double centred_energy = st.wenergy - std::norm(st.wsum) / static_cast<double>(k);
   return centred_energy > 1e-300 ? st.acc / std::sqrt(ref_energy * centred_energy) : Complex{};
-}
-
-/// Complex-valued centred normalized correlation at ONE alignment `t`.
-/// Unlike the sliding variants, the window mean/energy are accumulated
-/// inside the window itself (no prefix sums), so the result is an exact
-/// pure function of x[t, t + ref) alone -- independent of where the
-/// enclosing buffer starts. The streaming receiver's continuous scan
-/// depends on this for bit-identical chunk-size invariance: its scratch
-/// block origins move with stream arrival, which would perturb
-/// prefix-sum rounding. |result| matches the magnitude variant up to
-/// floating-point rounding of the normalization.
-[[nodiscard]] inline Complex correlation_centered_at(std::span<const Complex> x,
-                                                     const CenteredRef& cref, std::size_t t) {
-  const auto& ref = cref.ref;
-  const std::size_t k = ref.size();
-  if (k == 0 || cref.energy == 0.0 || t + k > x.size()) return Complex{};
-  const kernels::CorrStats st = kernels::corr_stats(k, ref.data(), x.data() + t);
-  return centered_correlation_from_stats(st, cref.energy, k);
 }
 
 /// Mean-invariant normalized correlation: both the reference and each

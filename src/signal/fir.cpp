@@ -106,18 +106,18 @@ BasicWaveform<T> FirFilter::apply_impl(const BasicWaveform<T>& in) const {
   };
   // Interior: the full window [base - nt + 1, base] is in range, so the
   // bounds checks drop out and the tap dot runs through the kernel layer
-  // (the scalar backend walks taps ascending exactly like `edge`).
+  // as an ascending dot of the window with the reversed taps (summed in
+  // the kernels' lane order).
   const std::ptrdiff_t lo = std::min(n, nt - 1 - d);
   const std::ptrdiff_t hi = std::max(lo, std::min(n, n - d));
   for (std::ptrdiff_t i = 0; i < lo; ++i) edge(i);
   for (std::ptrdiff_t i = lo; i < hi; ++i) {
     const T* xw = in.samples.data() + (i + d - (nt - 1));
+    T& y = out.samples[static_cast<std::size_t>(i)];
     if constexpr (std::is_same_v<T, Complex>) {
-      out.samples[static_cast<std::size_t>(i)] =
-          kernels::fir_dot(taps_.size(), taps_.data(), taps_rev_.data(), xw);
+      y = kernels::fir_dot(taps_.size(), taps_rev_.data(), xw);
     } else {
-      out.samples[static_cast<std::size_t>(i)] =
-          kernels::fir_dot_real(taps_.size(), taps_.data(), taps_rev_.data(), xw);
+      y = kernels::dot_real(taps_.size(), taps_rev_.data(), xw);
     }
   }
   for (std::ptrdiff_t i = hi; i < n; ++i) edge(i);

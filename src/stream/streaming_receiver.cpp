@@ -53,8 +53,8 @@ StreamingReceiver::StreamingReceiver(const phy::Demodulator& demod, const Stream
   scan_im_.reserve(std::max(scan_span, sync_span));
   win_.sample_rate_hz = demod.params().sample_rate_hz;
   win_.samples.reserve(window_len_);
-  // Split the centred reference once: the scan statistic then runs on
-  // re/im planes (bitwise-identical accumulation; see corr_stats_split).
+  // Split the centred reference once: scan and sync score alignments on
+  // re/im planes with kernels::corr_stats_split.
   const auto& cref = demod.preamble().centered_reference();
   cref_re_.resize(cref.ref.size());
   cref_im_.resize(cref.ref.size());
@@ -118,23 +118,12 @@ bool StreamingReceiver::step_searching() {
   const std::uint64_t max_align = end - ref_len_;
   std::size_t m = static_cast<std::size_t>((max_align - scan_pos_) / stride) + 1;
   m = std::min(m, opts_.scan_block);
-  const std::size_t span = (m - 1) * stride + ref_len_;
-  scan_buf_.resize(span);
-  ring_.copy_out(scan_pos_, std::span(scan_buf_.data(), span));
-  scan_re_.resize(span);
-  scan_im_.resize(span);
-  kernels::split_complex(span, scan_buf_.data(), scan_re_.data(), scan_im_.data());
+  load_span(scan_pos_, (m - 1) * stride + ref_len_);
   for (std::size_t j = 0; j < m; ++j) {
-    // The split-plane statistic is a pure function of the window samples
-    // alone (and bitwise equal to correlation_centered_at on the same
-    // window), so the crossing decision at an absolute alignment does not
-    // depend on where this scan block happened to start (chunk-size
-    // invariance).
-    const kernels::CorrStats st =
-        kernels::corr_stats_split(ref_len_, cref_re_.data(), cref_im_.data(),
-                                  scan_re_.data() + j * stride, scan_im_.data() + j * stride);
-    const sig::Complex c = sig::centered_correlation_from_stats(st, cref_energy_, ref_len_);
-    if (bank_.score(c) >= opts_.scan_gate) {
+    // The statistic is a pure function of the window samples alone, so
+    // the crossing decision at an absolute alignment does not depend on
+    // where this scan block happened to start (chunk-size invariance).
+    if (bank_.score(correlation_at(j * stride)) >= opts_.scan_gate) {
       const std::uint64_t t_c = scan_pos_ + j * stride;
       // The true peak can trail the crossing by up to one reference
       // length (the correlation ramps while the windows overlap) and
@@ -168,17 +157,14 @@ bool StreamingReceiver::resolve_sync(bool clip) {
   }
   RT_TRACE_SPAN("stream_sync");
   const auto n_align = static_cast<std::size_t>(hi - sync_lo_) + 1;
-  const std::size_t span = n_align - 1 + ref_len_;
-  scan_buf_.resize(span);
-  ring_.copy_out(sync_lo_, std::span(scan_buf_.data(), span));
-  const auto& cref = demod_->preamble().centered_reference();
-  const std::span<const sig::Complex> buf(scan_buf_);
-  // Full-resolution magnitude argmax over the span: the best alignment
-  // the packet path's coarse stage could also have chosen.
+  load_span(sync_lo_, n_align - 1 + ref_len_);
+  // Full-resolution magnitude argmax over the span, with the scan's own
+  // statistic: the best alignment the packet path's coarse stage could
+  // also have chosen.
   std::size_t best = 0;
   double best_mag = -1.0;
   for (std::size_t j = 0; j < n_align; ++j) {
-    const double mag = std::abs(sig::correlation_centered_at(buf, cref, j));
+    const double mag = std::abs(correlation_at(j));
     if (mag > best_mag) {
       best_mag = mag;
       best = j;
@@ -189,6 +175,7 @@ bool StreamingReceiver::resolve_sync(bool clip) {
   // preamble up to the mismatch budget, or the crossing was a false alarm
   // (structured garbage can cross the correlation gate; it cannot also
   // reproduce the slot pattern).
+  const std::span<const sig::Complex> buf(scan_buf_);
   const int bad = sof_.mismatches(buf.subspan(best, sof_.window_samples()));
   if (bad > opts_.sof_max_bit_errors) {
     ++stats_.sof_rejects;
@@ -201,6 +188,20 @@ bool StreamingReceiver::resolve_sync(bool clip) {
   win_start_ = t_star_ - lead_;
   state_ = State::kDecoding;
   return true;
+}
+
+void StreamingReceiver::load_span(std::uint64_t from, std::size_t span) {
+  scan_buf_.resize(span);
+  ring_.copy_out(from, std::span(scan_buf_.data(), span));
+  scan_re_.resize(span);
+  scan_im_.resize(span);
+  kernels::split_complex(span, scan_buf_.data(), scan_re_.data(), scan_im_.data());
+}
+
+sig::Complex StreamingReceiver::correlation_at(std::size_t j) const {
+  const kernels::CorrStats st = kernels::corr_stats_split(
+      ref_len_, cref_re_.data(), cref_im_.data(), scan_re_.data() + j, scan_im_.data() + j);
+  return sig::centered_correlation_from_stats(st, cref_energy_, ref_len_);
 }
 
 bool StreamingReceiver::step_decoding(FrameSink& sink) {

@@ -138,6 +138,12 @@ class StreamingReceiver {
   /// Peak resolution + SOF decision shared by step_synced and flush.
   /// `clip` bounds the argmax span by end-of-stream instead of waiting.
   [[nodiscard]] bool resolve_sync(bool clip);
+  /// Copies `span` samples from absolute index `from` out of the ring into
+  /// scan_buf_, split into scan_re_/scan_im_.
+  void load_span(std::uint64_t from, std::size_t span);
+  /// Centred correlation of the reference with the loaded span at offset
+  /// `j`: a pure function of those ref_len_ samples alone.
+  [[nodiscard]] sig::Complex correlation_at(std::size_t j) const;
   void retire_history();
 
   const phy::Demodulator* demod_;
@@ -165,9 +171,9 @@ class StreamingReceiver {
   std::size_t lead_ = 0;          ///< samples of look-back in the window
 
   // Preallocated working buffers (sized at construction; the hot path
-  // never grows them). The scan works on split re/im planes (SoA): the
-  // block is split once, then every alignment's correlation statistics
-  // run over contiguous doubles (kernels::corr_stats_split).
+  // never grows them). Scan and sync work on split re/im planes (SoA):
+  // each span is split once, then every alignment's correlation
+  // statistics run over contiguous doubles (kernels::corr_stats_split).
   std::vector<sig::Complex> scan_buf_;
   std::vector<double> scan_re_;
   std::vector<double> scan_im_;

@@ -1,12 +1,13 @@
-// Unit tests for the src/kernels batch layer: scalar-backend semantics
-// against naive references, tail coverage around the 4-wide AVX2 vector
-// width (n = 0, 1, W-1, W, W+1, ...), and — in RT_SIMD=ON builds — the
-// cross-backend contract from kernels.h: elementwise kernels bit-identical,
-// reductions within 1e-12 relative tolerance.
+// Unit tests for the src/kernels layer: scalar-backend semantics against
+// naive references (reductions written in the lane order kernels.h
+// specifies), tail coverage around the 4-wide AVX2 vector width (n = 0, 1,
+// W-1, W, W+1, ...), and the cross-backend contract: on an x86-64 host
+// with AVX2, every kernel gives the same bits on both backends.
 #include "kernels/kernels.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <complex>
 #include <random>
@@ -37,15 +38,20 @@ std::vector<Complex> random_cplx(std::mt19937_64& rng, std::size_t n) {
   return v;
 }
 
-void expect_rel_close(double a, double b, double tol = 1e-12) {
-  const double scale = std::max({std::abs(a), std::abs(b), 1e-30});
-  EXPECT_LE(std::abs(a - b) / scale, tol) << a << " vs " << b;
+const double* as_doubles(const std::vector<Complex>& v) {
+  return reinterpret_cast<const double*>(v.data());
 }
 
-void expect_rel_close(Complex a, Complex b, double tol = 1e-12) {
-  const double scale = std::max({std::abs(a), std::abs(b), 1e-30});
-  EXPECT_LE(std::abs(a - b) / scale, tol) << a << " vs " << b;
+// The reduction lane order of kernels.h, written naively: for each double
+// i below n4 (the whole 4-double vectors), step(lane, i) updates lane i % 4.
+template <typename Step>
+std::array<double, 4> lanes(std::size_t n4, Step step) {
+  std::array<double, 4> l{};
+  for (std::size_t i = 0; i < n4; ++i) step(l[i % 4], i);
+  return l;
 }
+
+double combine(const std::array<double, 4>& l) { return (l[0] + l[1]) + (l[2] + l[3]); }
 
 // --- scalar backend vs naive references (all tail sizes) -------------------
 
@@ -56,18 +62,31 @@ TEST(ScalarKernelsTest, DotFamilyMatchesNaiveLoops) {
     const auto b = random_reals(rng, n);
     const auto ca = random_cplx(rng, n);
     const auto cb = random_cplx(rng, n);
-    double dot = 0.0;
-    double sq = 0.0;
-    Complex dc{};
-    Complex du{};
-    double nc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t n4 = n & ~std::size_t{3};
+    double dot = combine(lanes(n4, [&](double& l, std::size_t i) { l += a[i] * b[i]; }));
+    double sq = combine(lanes(n4, [&](double& l, std::size_t i) { l += a[i] * a[i]; }));
+    for (std::size_t i = n4; i < n; ++i) {
       dot += a[i] * b[i];
       sq += a[i] * a[i];
-      dc += std::conj(ca[i]) * cb[i];
-      du += ca[i] * cb[i];
-      nc += std::norm(ca[i]);
     }
+
+    // Two complex samples per vector; double i pairs with double i ^ 1 of
+    // the same sample for the imaginary part.
+    const double* x = as_doubles(ca);
+    const double* y = as_doubles(cb);
+    const std::size_t n2 = n & ~std::size_t{1};
+    const auto rr = lanes(2 * n2, [&](double& l, std::size_t i) { l += x[i] * y[i]; });
+    const auto ri = lanes(2 * n2, [&](double& l, std::size_t i) { l += x[i] * y[i ^ 1]; });
+    Complex dc{combine(rr), (ri[0] - ri[1]) + (ri[2] - ri[3])};
+    for (std::size_t i = n2; i < n; ++i) dc += std::conj(ca[i]) * cb[i];
+
+    const std::size_t m4 = (2 * n) & ~std::size_t{3};
+    double nc = combine(lanes(m4, [&](double& l, std::size_t i) { l += x[i] * x[i]; }));
+    for (std::size_t i = m4; i < 2 * n; ++i) nc += x[i] * x[i];
+
+    Complex du{};  // cdotu is sequential
+    for (std::size_t i = 0; i < n; ++i) du += ca[i] * cb[i];
+
     EXPECT_EQ(rt::kernels::scalar::dot_real(n, a.data(), b.data()), dot);
     EXPECT_EQ(rt::kernels::scalar::sum_sq_real(n, a.data()), sq);
     EXPECT_EQ(rt::kernels::scalar::cdotc(n, ca.data(), cb.data()), dc);
@@ -76,23 +95,36 @@ TEST(ScalarKernelsTest, DotFamilyMatchesNaiveLoops) {
   }
 }
 
-TEST(ScalarKernelsTest, CorrStatsSplitIsBitwiseEqualToInterleaved) {
+TEST(ScalarKernelsTest, CorrStatsSplitMatchesNaiveLoops) {
   std::mt19937_64 rng(102);
   for (const std::size_t n : kSizes) {
-    const auto ref = random_cplx(rng, n);
-    const auto x = random_cplx(rng, n);
-    std::vector<double> rr(n);
-    std::vector<double> ri(n);
-    std::vector<double> xr(n);
-    std::vector<double> xi(n);
-    rt::kernels::scalar::split_complex(n, ref.data(), rr.data(), ri.data());
-    rt::kernels::scalar::split_complex(n, x.data(), xr.data(), xi.data());
-    const CorrStats a = rt::kernels::scalar::corr_stats(n, ref.data(), x.data());
-    const CorrStats b =
+    const auto rr = random_reals(rng, n);
+    const auto ri = random_reals(rng, n);
+    const auto xr = random_reals(rng, n);
+    const auto xi = random_reals(rng, n);
+    const std::size_t n4 = n & ~std::size_t{3};
+    const double acc_re = combine(lanes(n4, [&](double& l, std::size_t i) {
+      l = l + rr[i] * xr[i] + ri[i] * xi[i];
+    }));
+    const double acc_im = combine(lanes(n4, [&](double& l, std::size_t i) {
+      l = l + rr[i] * xi[i] - ri[i] * xr[i];
+    }));
+    const double wsum_re = combine(lanes(n4, [&](double& l, std::size_t i) { l += xr[i]; }));
+    const double wsum_im = combine(lanes(n4, [&](double& l, std::size_t i) { l += xi[i]; }));
+    const double wenergy = combine(lanes(n4, [&](double& l, std::size_t i) {
+      l = l + xr[i] * xr[i] + xi[i] * xi[i];
+    }));
+    CorrStats want{Complex{acc_re, acc_im}, Complex{wsum_re, wsum_im}, wenergy};
+    for (std::size_t i = n4; i < n; ++i) {
+      want.acc += Complex{rr[i] * xr[i] + ri[i] * xi[i], rr[i] * xi[i] - ri[i] * xr[i]};
+      want.wsum += Complex{xr[i], xi[i]};
+      want.wenergy += xr[i] * xr[i] + xi[i] * xi[i];
+    }
+    const CorrStats got =
         rt::kernels::scalar::corr_stats_split(n, rr.data(), ri.data(), xr.data(), xi.data());
-    EXPECT_EQ(a.acc, b.acc);
-    EXPECT_EQ(a.wsum, b.wsum);
-    EXPECT_EQ(a.wenergy, b.wenergy);
+    EXPECT_EQ(got.acc, want.acc);
+    EXPECT_EQ(got.wsum, want.wsum);
+    EXPECT_EQ(got.wenergy, want.wenergy);
   }
 }
 
@@ -114,6 +146,9 @@ TEST(ScalarKernelsTest, WlTransformSupportsInPlaceAliasing) {
   }
 }
 
+// The FIR interior sum_k taps[k] * xw[nt-1-k], taken as xw[k] times
+// taps[nt-1-k] (= taps_rev[k]) with the window ascending: two samples per
+// vector, so re = l0 + l2 and im = l1 + l3.
 TEST(ScalarKernelsTest, FirDotWalksTapsAscendingOverReversedWindow) {
   std::mt19937_64 rng(104);
   for (const std::size_t nt : kSizes) {
@@ -121,17 +156,14 @@ TEST(ScalarKernelsTest, FirDotWalksTapsAscendingOverReversedWindow) {
     const auto taps = random_reals(rng, nt);
     std::vector<double> taps_rev(taps.rbegin(), taps.rend());
     const auto xw = random_cplx(rng, nt);
-    const auto xw_real = random_reals(rng, nt);
-    Complex want{};
-    double want_real = 0.0;
-    for (std::size_t k = 0; k < nt; ++k) {
-      want += xw[nt - 1 - k] * taps[k];
-      want_real += xw_real[nt - 1 - k] * taps[k];
-    }
-    EXPECT_EQ(rt::kernels::scalar::fir_dot(nt, taps.data(), taps_rev.data(), xw.data()), want);
-    EXPECT_EQ(
-        rt::kernels::scalar::fir_dot_real(nt, taps.data(), taps_rev.data(), xw_real.data()),
-        want_real);
+    const double* x = as_doubles(xw);
+    const std::size_t n2 = nt & ~std::size_t{1};
+    const auto l = lanes(2 * n2, [&](double& acc, std::size_t i) {
+      acc += x[i] * taps[nt - 1 - i / 2];
+    });
+    Complex want{l[0] + l[2], l[1] + l[3]};
+    for (std::size_t k = n2; k < nt; ++k) want += xw[k] * taps[nt - 1 - k];
+    EXPECT_EQ(rt::kernels::scalar::fir_dot(nt, taps_rev.data(), xw.data()), want);
   }
 }
 
@@ -139,27 +171,32 @@ TEST(ScalarKernelsTest, DfeScoreMatchesResidualPlusNorm) {
   std::mt19937_64 rng(105);
   for (const std::size_t n_terms : {std::size_t{0}, std::size_t{1}, std::size_t{3},
                                     std::size_t{31}, std::size_t{32}, std::size_t{33}}) {
-    const std::size_t n = 24;
-    const auto residual = random_cplx(rng, n);
-    std::vector<std::vector<Complex>> tmpls;
-    std::vector<CTerm> terms;
-    tmpls.reserve(n_terms);
-    terms.reserve(n_terms);
-    std::uniform_real_distribution<double> dist(-1.0, 1.0);
-    for (std::size_t t = 0; t < n_terms; ++t) {
-      tmpls.push_back(random_cplx(rng, n));
-      terms.push_back({tmpls.back().data(), Complex{dist(rng), dist(rng)}});
+    for (const std::size_t n : {std::size_t{24}, std::size_t{25}}) {
+      const auto residual = random_cplx(rng, n);
+      std::vector<std::vector<Complex>> tmpls;
+      std::vector<CTerm> terms;
+      tmpls.reserve(n_terms);
+      terms.reserve(n_terms);
+      std::uniform_real_distribution<double> dist(-1.0, 1.0);
+      for (std::size_t t = 0; t < n_terms; ++t) {
+        tmpls.push_back(random_cplx(rng, n));
+        terms.push_back({tmpls.back().data(), Complex{dist(rng), dist(rng)}});
+      }
+      std::vector<Complex> out(n);
+      rt::kernels::scalar::dfe_residual(n, residual.data(), out.data(), terms.data(), n_terms);
+      std::vector<Complex> e(n);
+      for (std::size_t k = 0; k < n; ++k) {
+        e[k] = residual[k];
+        for (std::size_t t = 0; t < n_terms; ++t) e[k] -= terms[t].w * terms[t].tmpl[k];
+        EXPECT_EQ(out[k], e[k]);
+      }
+      // Two samples per vector: lanes e0.re^2, e0.im^2, e1.re^2, e1.im^2.
+      const double* ed = as_doubles(e);
+      const std::size_t n2 = n & ~std::size_t{1};
+      double want = combine(lanes(2 * n2, [&](double& l, std::size_t i) { l += ed[i] * ed[i]; }));
+      if (n2 != n) want += std::norm(e[n2]);
+      EXPECT_EQ(rt::kernels::scalar::dfe_score(n, residual.data(), terms.data(), n_terms), want);
     }
-    std::vector<Complex> out(n);
-    rt::kernels::scalar::dfe_residual(n, residual.data(), out.data(), terms.data(), n_terms);
-    double want = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-      Complex e = residual[k];
-      for (std::size_t t = 0; t < n_terms; ++t) e -= terms[t].w * terms[t].tmpl[k];
-      EXPECT_EQ(out[k], e);
-      want += std::norm(e);
-    }
-    EXPECT_EQ(rt::kernels::scalar::dfe_score(n, residual.data(), terms.data(), n_terms), want);
   }
 }
 
@@ -246,16 +283,33 @@ TEST(ScalarKernelsTest, LcStepRunMatchesRepeatedLcStepCalls) {
   }
 }
 
-// --- cross-backend contract (compiled only under -DRT_SIMD=ON) -------------
+// --- dispatch and the cross-backend contract ---------------------------------
 
-#if defined(RT_KERNELS_AVX2)
-
-TEST(Avx2KernelsTest, BackendIsSelected) {
-  EXPECT_TRUE(rt::kernels::kAvx2);
-  EXPECT_STREQ(rt::kernels::backend_name(), "avx2");
+bool host_has_avx2() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") != 0;
+#else
+  return false;
+#endif
 }
 
-TEST(Avx2KernelsTest, ElementwiseKernelsAreBitIdentical) {
+TEST(KernelDispatchTest, BackendIsAvx2ExactlyWhenTheHostReportsAvx2) {
+  EXPECT_STREQ(rt::kernels::backend_name(), host_has_avx2() ? "avx2" : "scalar");
+}
+
+#if defined(__x86_64__)
+
+// Every x86-64 build compiles the AVX2 backend; these tests run it
+// wherever the CPU can.
+class Avx2KernelsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!host_has_avx2()) GTEST_SKIP() << "host CPU does not report AVX2";
+  }
+};
+
+TEST_F(Avx2KernelsTest, ElementwiseKernelsAreBitIdentical) {
   std::mt19937_64 rng(201);
   std::uniform_real_distribution<double> dist(-1.0, 1.0);
   for (const std::size_t n : kSizes) {
@@ -301,57 +355,10 @@ TEST(Avx2KernelsTest, ElementwiseKernelsAreBitIdentical) {
     rt::kernels::scalar::caxpy_real(n, a, xr.data(), s_cr.data());
     rt::kernels::avx2::caxpy_real(n, a, xr.data(), v_cr.data());
     EXPECT_EQ(s_cr, v_cr);
-
-    std::vector<double> s_re(n);
-    std::vector<double> s_im(n);
-    std::vector<double> v_re(n);
-    std::vector<double> v_im(n);
-    rt::kernels::scalar::split_complex(n, x.data(), s_re.data(), s_im.data());
-    rt::kernels::avx2::split_complex(n, x.data(), v_re.data(), v_im.data());
-    EXPECT_EQ(s_re, v_re);
-    EXPECT_EQ(s_im, v_im);
-
-    if (n > 0) {
-      EXPECT_EQ(
-          rt::kernels::scalar::phase_score_max(n, s_re.data(), s_im.data(), a.real(), a.imag()),
-          rt::kernels::avx2::phase_score_max(n, v_re.data(), v_im.data(), a.real(), a.imag()));
-    }
   }
 }
 
-TEST(Avx2KernelsTest, LcStepIsBitIdenticalAcrossBackends) {
-  std::mt19937_64 rng(202);
-  std::uniform_real_distribution<double> tau(1e-3, 5e-3);
-  for (const std::size_t n : kSizes) {
-    std::vector<double> tau_c(n);
-    std::vector<double> tau_r(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      tau_c[i] = tau(rng);
-      tau_r[i] = tau(rng);
-    }
-    const LcBankParams p{tau_c.data(), tau_r.data(), 50e-3, 10e-3, 0.35};
-    std::vector<double> drive(n);
-    for (std::size_t i = 0; i < n; ++i) drive[i] = (i % 3 == 0) ? 1.0 : 0.0;
-    std::uniform_real_distribution<double> unit(0.0, 1.0);
-    std::vector<double> c0(n);
-    std::vector<double> s0(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      c0[i] = unit(rng);
-      s0[i] = unit(rng);
-    }
-    auto sc = c0;
-    auto ss = s0;
-    auto vc = c0;
-    auto vs = s0;
-    // 25 us spans multiple RK4 substeps (10 us cap) plus a partial tail.
-    rt::kernels::scalar::lc_step(n, 25e-6, drive.data(), sc.data(), ss.data(), p);
-    rt::kernels::avx2::lc_step(n, 25e-6, drive.data(), vc.data(), vs.data(), p);
-    EXPECT_EQ(sc, vc);
-    EXPECT_EQ(ss, vs);
-  }
-}
-
-TEST(Avx2KernelsTest, LcStepRunIsBitIdenticalAcrossBackends) {
+TEST_F(Avx2KernelsTest, LcStepRunIsBitIdenticalAcrossBackends) {
   std::mt19937_64 rng(203);
   std::uniform_real_distribution<double> tau(1e-3, 5e-3);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
@@ -397,7 +404,7 @@ TEST(Avx2KernelsTest, LcStepRunIsBitIdenticalAcrossBackends) {
   }
 }
 
-TEST(Avx2KernelsTest, LcStepRunFixedPointSkipIsExact) {
+TEST_F(Avx2KernelsTest, LcStepRunFixedPointSkipIsExact) {
   // A fully released bank at (c, s) = (0, 0) must stay exactly at zero --
   // the AVX2 backend fills these rows without stepping, and the result
   // has to match the scalar spec bit-for-bit (positive zeros).
@@ -432,7 +439,7 @@ TEST(Avx2KernelsTest, LcStepRunFixedPointSkipIsExact) {
   }
 }
 
-TEST(Avx2KernelsTest, DfeResidualIsBitIdenticalIncludingManyTerms) {
+TEST_F(Avx2KernelsTest, DfeResidualIsBitIdenticalIncludingManyTerms) {
   std::mt19937_64 rng(203);
   std::uniform_real_distribution<double> dist(-1.0, 1.0);
   for (const std::size_t n_terms : {std::size_t{0}, std::size_t{1}, std::size_t{3},
@@ -456,7 +463,7 @@ TEST(Avx2KernelsTest, DfeResidualIsBitIdenticalIncludingManyTerms) {
   }
 }
 
-TEST(Avx2KernelsTest, ReductionsAgreeWithin1em12Relative) {
+TEST_F(Avx2KernelsTest, ReductionsAreBitIdentical) {
   std::mt19937_64 rng(204);
   std::uniform_real_distribution<double> dist(-1.0, 1.0);
   for (const std::size_t n : kSizes) {
@@ -464,67 +471,45 @@ TEST(Avx2KernelsTest, ReductionsAgreeWithin1em12Relative) {
     const auto b = random_reals(rng, n);
     const auto ca = random_cplx(rng, n);
     const auto cb = random_cplx(rng, n);
-    expect_rel_close(rt::kernels::scalar::dot_real(n, a.data(), b.data()),
-                     rt::kernels::avx2::dot_real(n, a.data(), b.data()));
-    expect_rel_close(rt::kernels::scalar::sum_sq_real(n, a.data()),
-                     rt::kernels::avx2::sum_sq_real(n, a.data()));
-    expect_rel_close(rt::kernels::scalar::cdotc(n, ca.data(), cb.data()),
-                     rt::kernels::avx2::cdotc(n, ca.data(), cb.data()));
-    expect_rel_close(rt::kernels::scalar::cdotu(n, ca.data(), cb.data()),
-                     rt::kernels::avx2::cdotu(n, ca.data(), cb.data()));
-    expect_rel_close(rt::kernels::scalar::sum_norm_cplx(n, ca.data()),
-                     rt::kernels::avx2::sum_norm_cplx(n, ca.data()));
+    EXPECT_EQ(rt::kernels::scalar::dot_real(n, a.data(), b.data()),
+              rt::kernels::avx2::dot_real(n, a.data(), b.data()));
+    EXPECT_EQ(rt::kernels::scalar::sum_sq_real(n, a.data()),
+              rt::kernels::avx2::sum_sq_real(n, a.data()));
+    EXPECT_EQ(rt::kernels::scalar::cdotc(n, ca.data(), cb.data()),
+              rt::kernels::avx2::cdotc(n, ca.data(), cb.data()));
+    EXPECT_EQ(rt::kernels::scalar::sum_norm_cplx(n, ca.data()),
+              rt::kernels::avx2::sum_norm_cplx(n, ca.data()));
 
-    const CorrStats s_st = rt::kernels::scalar::corr_stats(n, ca.data(), cb.data());
-    const CorrStats v_st = rt::kernels::avx2::corr_stats(n, ca.data(), cb.data());
-    expect_rel_close(s_st.acc, v_st.acc);
-    expect_rel_close(s_st.wsum, v_st.wsum);
-    expect_rel_close(s_st.wenergy, v_st.wenergy);
+    const auto rr = random_reals(rng, n);
+    const auto ri = random_reals(rng, n);
+    const CorrStats s_st =
+        rt::kernels::scalar::corr_stats_split(n, rr.data(), ri.data(), a.data(), b.data());
+    const CorrStats v_st =
+        rt::kernels::avx2::corr_stats_split(n, rr.data(), ri.data(), a.data(), b.data());
+    EXPECT_EQ(s_st.acc, v_st.acc);
+    EXPECT_EQ(s_st.wsum, v_st.wsum);
+    EXPECT_EQ(s_st.wenergy, v_st.wenergy);
 
-    std::vector<double> rr(n);
-    std::vector<double> ri(n);
-    std::vector<double> xr(n);
-    std::vector<double> xi(n);
-    rt::kernels::scalar::split_complex(n, ca.data(), rr.data(), ri.data());
-    rt::kernels::scalar::split_complex(n, cb.data(), xr.data(), xi.data());
-    const CorrStats s_sp =
-        rt::kernels::scalar::corr_stats_split(n, rr.data(), ri.data(), xr.data(), xi.data());
-    const CorrStats v_sp =
-        rt::kernels::avx2::corr_stats_split(n, rr.data(), ri.data(), xr.data(), xi.data());
-    expect_rel_close(s_sp.acc, v_sp.acc);
-    expect_rel_close(s_sp.wsum, v_sp.wsum);
-    expect_rel_close(s_sp.wenergy, v_sp.wenergy);
+    EXPECT_EQ(rt::kernels::scalar::fir_dot(n, a.data(), ca.data()),
+              rt::kernels::avx2::fir_dot(n, a.data(), ca.data()));
 
-    if (n > 0) {
-      std::vector<double> taps_rev(a.rbegin(), a.rend());
-      expect_rel_close(rt::kernels::scalar::fir_dot(n, a.data(), taps_rev.data(), ca.data()),
-                       rt::kernels::avx2::fir_dot(n, a.data(), taps_rev.data(), ca.data()));
-      expect_rel_close(
-          rt::kernels::scalar::fir_dot_real(n, a.data(), taps_rev.data(), b.data()),
-          rt::kernels::avx2::fir_dot_real(n, a.data(), taps_rev.data(), b.data()));
+    // 33 terms takes the AVX2 body's fallback past its stack cap.
+    for (const std::size_t n_terms : {std::size_t{0}, std::size_t{5}, std::size_t{33}}) {
+      std::vector<std::vector<Complex>> tmpls;
+      std::vector<CTerm> terms;
+      tmpls.reserve(n_terms);
+      terms.reserve(n_terms);
+      for (std::size_t t = 0; t < n_terms; ++t) {
+        tmpls.push_back(random_cplx(rng, n));
+        terms.push_back({tmpls.back().data(), Complex{dist(rng), dist(rng)}});
+      }
+      EXPECT_EQ(rt::kernels::scalar::dfe_score(n, ca.data(), terms.data(), n_terms),
+                rt::kernels::avx2::dfe_score(n, ca.data(), terms.data(), n_terms))
+          << "n=" << n << " terms=" << n_terms;
     }
-
-    std::vector<std::vector<Complex>> tmpls;
-    std::vector<CTerm> terms;
-    const std::size_t n_terms = 5;
-    tmpls.reserve(n_terms);
-    terms.reserve(n_terms);
-    for (std::size_t t = 0; t < n_terms; ++t) {
-      tmpls.push_back(random_cplx(rng, n));
-      terms.push_back({tmpls.back().data(), Complex{dist(rng), dist(rng)}});
-    }
-    expect_rel_close(rt::kernels::scalar::dfe_score(n, ca.data(), terms.data(), n_terms),
-                     rt::kernels::avx2::dfe_score(n, ca.data(), terms.data(), n_terms));
   }
 }
 
-#else  // !RT_KERNELS_AVX2
-
-TEST(ScalarDispatchTest, ScalarBackendIsSelected) {
-  EXPECT_FALSE(rt::kernels::kAvx2);
-  EXPECT_STREQ(rt::kernels::backend_name(), "scalar");
-}
-
-#endif  // RT_KERNELS_AVX2
+#endif  // __x86_64__
 
 }  // namespace

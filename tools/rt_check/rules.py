@@ -42,6 +42,9 @@ C1_PATTERNS: list[tuple[re.Pattern, str]] = [
      "through explicit options structs"),
     (re.compile(r"__DATE__|__TIME__|__TIMESTAMP__"),
      "build-timestamp macros bake nondeterminism into the binary"),
+    (re.compile(r"\b__builtin_cpu_(?:supports|is|init)\b"),
+     "host CPU probes make results depend on the machine; only a choice "
+     "between paths proven bit-identical may read one"),
     (re.compile(r"\bunordered_(?:map|set|multimap|multiset)\b"),
      "unordered container iteration order is unspecified and can leak into "
      "results; use a sorted container or a flat keyed buffer "
