@@ -42,7 +42,8 @@ struct Fixture {
     rt::sim::ChannelConfig ch;
     ch.snr_override_db = 40.0;
     rt::sim::Channel channel(p, p.tag_config(), ch);
-    auto src = channel.source();
+    rt::Rng noise_rng(ch.noise_seed);
+    auto src = channel.source_with(noise_rng);
     rx = src(packet.firings, packet.duration_s + p.symbol_duration_s());
   }
 };

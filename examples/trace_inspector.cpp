@@ -60,7 +60,8 @@ int main() {
   ch.snr_override_db = 30.0;
   ch.pose.roll_rad = rt::deg_to_rad(25.0);
   rt::sim::Channel channel(p, p.tag_config(), ch);
-  auto source = channel.source();
+  rt::Rng noise_rng(ch.noise_seed);
+  auto source = channel.source_with(noise_rng);
   const auto rx = source(pkt.firings, pkt.duration_s + p.symbol_duration_s());
   rt::sim::write_trace_csv("packet_trace.csv", rx);
   std::printf("wrote packet_trace.csv (%zu samples, %.0f ms of DSM-PQAM air time)\n",

@@ -3,17 +3,18 @@
 //
 // Runs the full MAC stack: slotted-ALOHA tag discovery, SNR-based rate
 // adaptation from the paper's operating points, TDMA polling, and CRC +
-// stop-and-wait delivery of sensor readings over the real PHY simulator.
+// stop-and-wait delivery of sensor readings over the real PHY simulator
+// (through the retroturbo::Link facade).
+#include <algorithm>
 #include <cstdio>
 #include <map>
 
 #include "common/rng.h"
 #include "common/units.h"
+#include "core/retroturbo.h"
 #include "mac/goodput.h"
-#include "mac/mac_link.h"
 #include "mac/rate_table.h"
 #include "mac/tdma.h"
-#include "sim/link_sim.h"
 
 namespace {
 
@@ -80,34 +81,29 @@ int main() {
   for (const auto id : discovery.discovered) tdma.register_tag(id);
   std::printf("\nTDMA round (airtime share %.1f%% per tag):\n", 100.0 * tdma.airtime_share());
 
-  const auto phy = demo_phy();
-  const auto offline = rt::sim::train_offline_model(phy, phy.tag_config());
   int delivered = 0;
   for (std::size_t slot = 0; slot < tags.size(); ++slot) {
     const auto id = tdma.owner(slot);
     const auto& tag = *std::find_if(tags.begin(), tags.end(),
                                     [&](const ShelfTag& t) { return t.id == id; });
-    rt::sim::ChannelConfig ch;
-    ch.budget = budget;
-    ch.pose.distance_m = tag.distance_m;
-    ch.pose.roll_rad = rt::deg_to_rad(tag.roll_deg);
-    ch.noise_seed = 100 + id;
-    rt::sim::SimOptions so;
-    so.offline_yaws_deg = {0.0};
-    so.shared_offline_model = offline;
-    rt::sim::LinkSimulator sim(phy, phy.tag_config(), ch, so);
-    rt::mac::MacLink link(sim, rt::coding::ReedSolomon(15, 11));
+    retroturbo::LinkConfig cfg;
+    cfg.custom_phy = demo_phy();
+    cfg.roll_deg = tag.roll_deg;
+    // The facade models the narrow-beam budget; the ceiling reader's wide
+    // beam sets this shelf's SNR instead.
+    cfg.snr_override_db = budget.snr_db_at(tag.distance_m);
+    cfg.rs_n = 15;
+    cfg.rs_k = 11;
+    cfg.max_retransmissions = 3;
+    cfg.seed = 100 + id;
+    retroturbo::Link link(cfg);
 
-    rt::mac::MacFrame frame;
-    frame.tag_id = id;
-    frame.seq = 0;
-    frame.payload = tag.sensor_reading(rng);
-    const auto r = link.send(frame, rt::mac::StopAndWaitArq(4));
+    const auto r = link.send_bytes(tag.sensor_reading(rng));
     std::printf("  slot %zu tag %u: %s (%d attempt%s)", slot, id,
                 r.delivered ? "delivered" : "LOST", r.attempts, r.attempts == 1 ? "" : "s");
     if (r.delivered) {
       ++delivered;
-      std::printf("  T=%.1fC RH=%u%%", r.received->payload[0] / 10.0, r.received->payload[1]);
+      std::printf("  T=%.1fC RH=%u%%", r.received[0] / 10.0, r.received[1]);
     }
     std::printf("\n");
   }

@@ -25,6 +25,7 @@
 #include "coding/crc.h"
 #include "coding/interleaver.h"
 #include "coding/reed_solomon.h"
+#include "common/bitio.h"
 #include "common/error.h"
 #include "common/narrow.h"
 #include "signal/scrambler.h"
@@ -33,14 +34,6 @@ namespace rt::coding {
 
 struct CodedFrameConfig {
   CodeDescriptor code = CodeDescriptor::none();
-  /// Block-interleaver depth: a burst of up to `interleaver_rows` coded
-  /// symbols lands at most once per deinterleaved row.
-  std::size_t interleaver_rows = 4;
-  /// Append CRC-16/CCITT-FALSE (big-endian) to the payload before coding.
-  bool use_crc = true;
-  /// Whitening seed; anything but the modulator scrambler's default 0x7F,
-  /// so the frame and symbol keystreams never line up and cancel.
-  std::uint8_t whiten_seed = 0x2B;
 };
 
 /// All scratch for CodedFrameCodec, pooled in sim::PacketWorkspace so the
@@ -66,15 +59,21 @@ struct CodedFrameWorkspace {
 /// the next call on the same workspace.
 struct CodedFrameResult {
   bool decode_ok = false;  ///< FEC converged (always true for conv/none)
-  bool crc_ok = false;     ///< CRC residue clean (== decode_ok when CRC off)
+  bool crc_ok = false;     ///< CRC residue clean
   std::size_t erasures_used = 0;  ///< total RS erasures in successful retries
   std::span<const std::uint8_t> payload;
 };
 
 class CodedFrameCodec {
  public:
-  explicit CodedFrameCodec(CodedFrameConfig cfg) : cfg_(cfg), whitener_(cfg.whiten_seed) {
-    RT_ENSURE(cfg_.interleaver_rows >= 1, "interleaver depth must be positive");
+  /// Block-interleaver depth: a burst of up to kInterleaverRows coded
+  /// symbols lands at most once per deinterleaved row.
+  static constexpr std::size_t kInterleaverRows = 4;
+  /// Whitening seed; anything but the modulator scrambler's default 0x7F,
+  /// so the frame and symbol keystreams never line up and cancel.
+  static constexpr std::uint8_t kWhitenSeed = 0x2B;
+
+  explicit CodedFrameCodec(CodedFrameConfig cfg) : cfg_(cfg), whitener_(kWhitenSeed) {
     switch (cfg_.code.kind) {
       case CodeDescriptor::Kind::kConvolutional:
         conv_.emplace(narrow_cast<int>(cfg_.code.k));
@@ -90,17 +89,18 @@ class CodedFrameCodec {
   [[nodiscard]] const CodedFrameConfig& config() const { return cfg_; }
   [[nodiscard]] double code_rate() const { return cfg_.code.rate(); }
 
-  /// Message bits carried inside the code: payload plus the optional CRC.
-  [[nodiscard]] std::size_t message_bits(std::size_t payload_bits) const {
+  /// Message bits carried inside the code: payload plus the
+  /// CRC-16/CCITT-FALSE (big-endian) appended before coding.
+  [[nodiscard]] static std::size_t message_bits(std::size_t payload_bits) {
     RT_ENSURE(payload_bits > 0 && payload_bits % 8 == 0, "payload must be whole bytes");
-    return payload_bits + (cfg_.use_crc ? 16 : 0);
+    return payload_bits + 16;
   }
 
   /// On-air coded bits for a payload, including FEC expansion, the trellis
   /// flush / RS block padding, and interleaver fill.
   [[nodiscard]] std::size_t coded_bits(std::size_t payload_bits) const {
     const std::size_t msg = message_bits(payload_bits);
-    const std::size_t rows = cfg_.interleaver_rows;
+    const std::size_t rows = kInterleaverRows;
     switch (cfg_.code.kind) {
       case CodeDescriptor::Kind::kNone:
         return msg;
@@ -125,16 +125,14 @@ class CodedFrameCodec {
     const std::size_t msg_n = message_bits(payload_n);
     ws.message_bits.resize(msg_n);
     std::copy(payload_bits.begin(), payload_bits.end(), ws.message_bits.begin());
-    if (cfg_.use_crc) {
-      ws.bytes.resize(payload_n / 8);
-      pack_bits({ws.message_bits.data(), payload_n}, ws.bytes);
-      const std::uint16_t crc = crc16_ccitt(ws.bytes);
-      for (std::size_t j = 0; j < 16; ++j)
-        ws.message_bits[payload_n + j] = narrow_cast<std::uint8_t>((crc >> (15 - j)) & 1U);
-    }
+    ws.bytes.resize(payload_n / 8);
+    pack_bits({ws.message_bits.data(), payload_n}, ws.bytes);
+    const std::uint16_t crc = crc16_ccitt(ws.bytes);
+    for (std::size_t j = 0; j < 16; ++j)
+      ws.message_bits[payload_n + j] = narrow_cast<std::uint8_t>((crc >> (15 - j)) & 1U);
     whitener_.apply_in_place(ws.message_bits);
 
-    const std::size_t rows = cfg_.interleaver_rows;
+    const std::size_t rows = kInterleaverRows;
     switch (cfg_.code.kind) {
       case CodeDescriptor::Kind::kNone:
         out.resize(msg_n);
@@ -201,22 +199,6 @@ class CodedFrameCodec {
     return ((v + m - 1) / m) * m;
   }
 
-  /// Packs bits (MSB-first per byte) into bytes; sizes must already match.
-  static void pack_bits(std::span<const std::uint8_t> bits, std::span<std::uint8_t> bytes) {
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-      std::uint8_t v = 0;
-      for (std::size_t j = 0; j < 8; ++j)
-        v = narrow_cast<std::uint8_t>((v << 1) | (bits[i * 8 + j] & 1U));
-      bytes[i] = v;
-    }
-  }
-
-  static void unpack_bits(std::span<const std::uint8_t> bytes, std::span<std::uint8_t> bits) {
-    for (std::size_t i = 0; i < bytes.size(); ++i)
-      for (std::size_t j = 0; j < 8; ++j)
-        bits[i * 8 + j] = narrow_cast<std::uint8_t>((bytes[i] >> (7 - j)) & 1U);
-  }
-
   [[nodiscard]] CodedFrameResult decode_frame(std::span<const float> llrs,
                                               std::size_t payload_bits, CodedFrameWorkspace& ws,
                                               bool gmd) const {
@@ -225,7 +207,7 @@ class CodedFrameCodec {
     CodedFrameResult result;
     result.decode_ok = true;
 
-    const std::size_t rows = cfg_.interleaver_rows;
+    const std::size_t rows = kInterleaverRows;
     switch (cfg_.code.kind) {
       case CodeDescriptor::Kind::kNone:
         ws.message_bits.resize(msg_n);
@@ -302,15 +284,11 @@ class CodedFrameCodec {
     }
 
     whitener_.apply_in_place(ws.message_bits);
-    if (cfg_.use_crc) {
-      // CRC-16/CCITT-FALSE has zero xorout, so message || crc leaves a
-      // zero residue.
-      ws.bytes.resize(msg_n / 8);
-      pack_bits(ws.message_bits, ws.bytes);
-      result.crc_ok = crc16_ccitt(ws.bytes) == 0;
-    } else {
-      result.crc_ok = result.decode_ok;
-    }
+    // CRC-16/CCITT-FALSE has zero xorout, so message || crc leaves a zero
+    // residue.
+    ws.bytes.resize(msg_n / 8);
+    pack_bits(ws.message_bits, ws.bytes);
+    result.crc_ok = crc16_ccitt(ws.bytes) == 0;
     if (cfg_.code.kind == CodeDescriptor::Kind::kReedSolomon && result.erasures_used > 0 &&
         !result.crc_ok) {
       // A GMD "success" that does not yield a clean CRC was a

@@ -37,23 +37,6 @@ ReedSolomon::ReedSolomon(std::size_t n, std::size_t k) : n_(n), k_(k) {
   }
 }
 
-std::vector<std::uint8_t> ReedSolomon::encode_block(std::span<const std::uint8_t> data) const {
-  RT_ENSURE(data.size() == k_, "encode_block expects exactly k data bytes");
-  const std::size_t parity = n_ - k_;
-  // Systematic encoding: remainder of data(x) * x^(n-k) mod g(x).
-  std::vector<std::uint8_t> rem(parity, 0);
-  for (std::size_t i = 0; i < k_; ++i) {
-    const std::uint8_t feedback = narrow_cast<std::uint8_t>(data[i] ^ rem[parity - 1]);
-    for (std::size_t j = parity; j-- > 1;)
-      rem[j] = narrow_cast<std::uint8_t>(rem[j - 1] ^ gf().mul(feedback, generator_[j]));
-    rem[0] = gf().mul(feedback, generator_[0]);
-  }
-  std::vector<std::uint8_t> out(data.begin(), data.end());
-  // Parity appended high-degree-first to keep the codeword poly consistent.
-  for (std::size_t j = parity; j-- > 0;) out.push_back(rem[j]);
-  return out;
-}
-
 void ReedSolomon::encode_block_into(std::span<const std::uint8_t> data, Scratch& scratch,
                                     std::span<std::uint8_t> out) const {
   RT_ENSURE(data.size() == k_, "encode_block_into expects exactly k data bytes");
@@ -71,14 +54,6 @@ void ReedSolomon::encode_block_into(std::span<const std::uint8_t> data, Scratch&
   std::copy(data.begin(), data.end(), out.begin());
   // Parity appended high-degree-first to keep the codeword poly consistent.
   for (std::size_t j = parity; j-- > 0;) out[k_ + (parity - 1 - j)] = rem[j];
-}
-
-std::optional<std::vector<std::uint8_t>> ReedSolomon::decode_block(
-    std::span<const std::uint8_t> codeword) const {
-  Scratch scratch;
-  std::vector<std::uint8_t> data(k_, 0);
-  if (!decode_block_into(codeword, {}, scratch, data)) return std::nullopt;
-  return data;
 }
 
 bool ReedSolomon::decode_block_into(std::span<const std::uint8_t> codeword,
@@ -194,36 +169,6 @@ bool ReedSolomon::decode_block_into(std::span<const std::uint8_t> codeword,
   }
   std::copy_n(ws.corrected.begin(), static_cast<std::ptrdiff_t>(k_), data_out.begin());
   return true;
-}
-
-std::vector<std::uint8_t> ReedSolomon::encode(std::span<const std::uint8_t> data) const {
-  std::vector<std::uint8_t> out;
-  const std::size_t blocks = (data.size() + k_ - 1) / k_;
-  out.reserve(blocks * n_);
-  for (std::size_t bi = 0; bi < blocks; ++bi) {
-    std::vector<std::uint8_t> block(k_, 0);
-    const std::size_t start = bi * k_;
-    const std::size_t len = std::min(k_, data.size() - start);
-    std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(start), len, block.begin());
-    const auto cw = encode_block(block);
-    out.insert(out.end(), cw.begin(), cw.end());
-  }
-  return out;
-}
-
-std::optional<std::vector<std::uint8_t>> ReedSolomon::decode(std::span<const std::uint8_t> coded,
-                                                             std::size_t message_len) const {
-  RT_ENSURE(coded.size() % n_ == 0, "coded length must be a multiple of n");
-  std::vector<std::uint8_t> out;
-  out.reserve(message_len);
-  for (std::size_t start = 0; start < coded.size(); start += n_) {
-    const auto block = decode_block(coded.subspan(start, n_));
-    if (!block) return std::nullopt;
-    out.insert(out.end(), block->begin(), block->end());
-  }
-  RT_ENSURE(out.size() >= message_len, "decoded data shorter than message_len");
-  out.resize(message_len);
-  return out;
 }
 
 }  // namespace rt::coding

@@ -2,12 +2,12 @@
 //
 // The paper's coding-gain study (Fig. 18b) runs a stop-and-wait link with
 // Reed-Solomon error correction at several coding rates; the rate-adaptive
-// MAC picks (bit rate, coding rate) pairs from the SNR. This is a complete
-// encoder plus Berlekamp-Massey / Chien / Forney hard-decision decoder.
+// MAC picks (bit rate, coding rate) pairs from the SNR. This is a one-block
+// encoder plus Berlekamp-Massey / Chien / Forney errors-and-erasures
+// decoder; coding::CodedFrameCodec splits frames into blocks.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -43,19 +43,11 @@ class ReedSolomon {
     return static_cast<double>(k_) / static_cast<double>(n_);
   }
 
-  /// Encodes exactly k data bytes into an n-byte systematic codeword
-  /// (data first, parity appended).
-  [[nodiscard]] std::vector<std::uint8_t> encode_block(std::span<const std::uint8_t> data) const;
-
-  /// encode_block() into a caller-owned n-byte buffer (no allocations once
-  /// `scratch` is warm); `out` must not alias `data`.
+  /// Encodes exactly k data bytes into a caller-owned n-byte systematic
+  /// codeword (data first, parity appended); no allocations once `scratch`
+  /// is warm. `out` must not alias `data`.
   void encode_block_into(std::span<const std::uint8_t> data, Scratch& scratch,
                          std::span<std::uint8_t> out) const;
-
-  /// Decodes an n-byte (possibly corrupted) codeword. Returns the k data
-  /// bytes, or nullopt if more than t errors were detected (decode failure).
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> decode_block(
-      std::span<const std::uint8_t> codeword) const;
 
   /// Errors-and-erasures decode of one n-byte codeword into a caller-owned
   /// buffer. `erasures` lists distinct 0-based codeword positions flagged
@@ -67,16 +59,6 @@ class ReedSolomon {
   [[nodiscard]] bool decode_block_into(std::span<const std::uint8_t> codeword,
                                        std::span<const std::size_t> erasures, Scratch& scratch,
                                        std::span<std::uint8_t> data_out) const;
-
-  /// Encodes an arbitrary-length message by splitting into k-byte blocks
-  /// (zero-padding the last block; original length must be conveyed by the
-  /// caller, e.g. in a frame header).
-  [[nodiscard]] std::vector<std::uint8_t> encode(std::span<const std::uint8_t> data) const;
-
-  /// Inverse of encode(); `message_len` trims the final padding. Returns
-  /// nullopt if any block fails to decode.
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> decode(
-      std::span<const std::uint8_t> coded, std::size_t message_len) const;
 
  private:
   std::size_t n_;

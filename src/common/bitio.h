@@ -1,38 +1,39 @@
 // Bit/byte packing helpers.
 //
-// PHY and MAC layers move data as bit vectors (std::vector<uint8_t> holding
-// one bit per element, MSB-first within each source byte); the host side
-// works in bytes. These converters are the single point of truth for that
-// packing order.
+// PHY and coding layers move data as bit vectors (one bit per uint8_t
+// element, MSB-first within each source byte); the host side works in
+// bytes. pack_bits/unpack_bits are the single point of truth for that
+// packing order, and write into caller-sized buffers so the coded packet
+// path stays allocation-free.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/error.h"
 #include "common/narrow.h"
 
 namespace rt {
 
-/// Expands bytes to bits, MSB first.
-[[nodiscard]] inline std::vector<std::uint8_t> bytes_to_bits(std::span<const std::uint8_t> bytes) {
-  std::vector<std::uint8_t> bits;
-  bits.reserve(bytes.size() * 8);
-  for (const auto b : bytes)
-    for (int i = 7; i >= 0; --i) bits.push_back(narrow_cast<std::uint8_t>((b >> i) & 1U));
-  return bits;
+/// Packs bits (MSB first per byte; only each element's low bit counts)
+/// into bytes. `bits` must hold exactly 8 * bytes.size() elements.
+inline void pack_bits(std::span<const std::uint8_t> bits, std::span<std::uint8_t> bytes) {
+  RT_ENSURE(bits.size() == bytes.size() * 8, "pack_bits needs exactly 8 bits per byte");
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    std::uint8_t v = 0;
+    for (std::size_t j = 0; j < 8; ++j)
+      v = narrow_cast<std::uint8_t>((v << 1) | (bits[i * 8 + j] & 1U));
+    bytes[i] = v;
+  }
 }
 
-/// Packs bits (MSB first) back into bytes. Size must be a multiple of 8.
-[[nodiscard]] inline std::vector<std::uint8_t> bits_to_bytes(std::span<const std::uint8_t> bits) {
-  RT_ENSURE(bits.size() % 8 == 0, "bit count must be a multiple of 8");
-  std::vector<std::uint8_t> bytes(bits.size() / 8, 0);
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    RT_ENSURE(bits[i] <= 1, "bit values must be 0 or 1");
-    bytes[i / 8] = narrow_cast<std::uint8_t>((bytes[i / 8] << 1) | bits[i]);
-  }
-  return bytes;
+/// Expands bytes to bits, MSB first. `bits` must hold exactly
+/// 8 * bytes.size() elements.
+inline void unpack_bits(std::span<const std::uint8_t> bytes, std::span<std::uint8_t> bits) {
+  RT_ENSURE(bits.size() == bytes.size() * 8, "unpack_bits needs exactly 8 bits per byte");
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    for (std::size_t j = 0; j < 8; ++j)
+      bits[i * 8 + j] = narrow_cast<std::uint8_t>((bytes[i] >> (7 - j)) & 1U);
 }
 
 /// Number of positions where the two bit vectors differ (for BER accounting).

@@ -5,7 +5,10 @@
 // light), and move bytes across the simulated visible-light backscatter
 // link exactly as the SIGCOMM'20 system would -- DSM-PQAM modulation on a
 // liquid-crystal pixel array, preamble rotation correction, two-stage
-// channel training and K-branch DFE demodulation at the reader.
+// channel training and K-branch DFE demodulation at the reader. Each
+// send_bytes() call is one CRC-16 coded frame (optionally Reed-Solomon
+// protected) through sim::CodedLink, retransmitted until the reader's CRC
+// check passes (stop-and-wait, paper sections 4.4 and 7.3).
 //
 //   retroturbo::LinkConfig cfg;
 //   cfg.rate = retroturbo::RatePreset::k8kbps;
@@ -23,13 +26,12 @@
 #include <string>
 #include <vector>
 
+#include "common/bitio.h"
 #include "common/units.h"
 #include "fleet/campaign.h"
 #include "fleet/collision.h"
-#include "mac/arq.h"
-#include "mac/frame.h"
-#include "mac/mac_link.h"
 #include "mac/rate_table.h"
+#include "sim/coded_link.h"
 #include "sim/link_sim.h"
 #include "stream/sim_source.h"
 #include "stream/source.h"
@@ -80,6 +82,8 @@ struct LinkConfig {
   /// Optional Reed-Solomon outer code (n, k); {0, 0} = uncoded.
   std::size_t rs_n = 0;
   std::size_t rs_k = 0;
+  /// Retransmissions after a failed first attempt: a send makes at most
+  /// 1 + max_retransmissions attempts.
   int max_retransmissions = 4;
 
   std::uint64_t seed = 1;
@@ -91,29 +95,33 @@ struct TransferResult {
   std::vector<std::uint8_t> received;  ///< payload as decoded at the reader
 };
 
-/// A point-to-point RetroTurbo uplink (tag -> reader) with MAC framing,
+/// A point-to-point RetroTurbo uplink (tag -> reader) with CRC framing,
 /// optional RS coding and stop-and-wait retransmission.
 class Link {
  public:
   explicit Link(const LinkConfig& config)
       : cfg_(config),
         sim_(make_phy(config), make_tag(config), make_channel(config), make_sim_options(config)),
-        mac_(sim_, config.rs_n > 0
-                       ? std::optional<rt::coding::ReedSolomon>(
-                             rt::coding::ReedSolomon(config.rs_n, config.rs_k))
-                       : std::nullopt) {}
+        coded_(sim_, make_frame_config(config)) {
+    RT_ENSURE(config.max_retransmissions >= 0, "max_retransmissions must be non-negative");
+  }
+  Link(const Link&) = delete;  // coded_ refers to this link's own sim_
 
-  /// Sends `payload` as one MAC frame; retransmits on CRC failure.
+  /// Sends `payload` as one coded frame; retransmits, each attempt a fresh
+  /// packet of the simulation, until the CRC passes.
   [[nodiscard]] TransferResult send_bytes(std::span<const std::uint8_t> payload) {
-    rt::mac::MacFrame frame;
-    frame.tag_id = 1;
-    frame.seq = seq_++;
-    frame.payload.assign(payload.begin(), payload.end());
-    const auto r = mac_.send(frame, rt::mac::StopAndWaitArq(cfg_.max_retransmissions));
+    RT_ENSURE(!payload.empty(), "send_bytes needs at least one payload byte");
+    ws_.info_bits.resize(payload.size() * 8);
+    rt::unpack_bits(payload, ws_.info_bits);
     TransferResult out;
-    out.delivered = r.delivered;
-    out.attempts = r.attempts;
-    if (r.received) out.received = r.received->payload;
+    while (!out.delivered && out.attempts <= cfg_.max_retransmissions) {
+      ++out.attempts;
+      const auto r = coded_.run_packet_bits(next_packet_++, ws_.info_bits, ws_);
+      if (!r.crc_ok) continue;
+      out.delivered = true;
+      out.received.resize(payload.size());
+      rt::pack_bits(r.payload, out.received);
+    }
     return out;
   }
 
@@ -155,13 +163,21 @@ class Link {
   [[nodiscard]] static rt::sim::SimOptions make_sim_options(const LinkConfig& c) {
     rt::sim::SimOptions o;
     o.seed = c.seed + 0x85EBCA6BULL;
+    o.export_soft_bits = true;  // CodedLink's soft (GMD) decoding reads the LLRs
     return o;
+  }
+
+  [[nodiscard]] static rt::coding::CodedFrameConfig make_frame_config(const LinkConfig& c) {
+    rt::coding::CodedFrameConfig f;
+    if (c.rs_n > 0) f.code = rt::coding::CodeDescriptor::reed_solomon(c.rs_n, c.rs_k);
+    return f;
   }
 
   LinkConfig cfg_;
   rt::sim::LinkSimulator sim_;
-  rt::mac::MacLink mac_;
-  std::uint8_t seq_ = 0;
+  rt::sim::CodedLink coded_;
+  rt::sim::PacketWorkspace ws_;
+  std::uint64_t next_packet_ = 0;  ///< every attempt runs a fresh packet index
 };
 
 }  // namespace retroturbo

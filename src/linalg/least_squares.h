@@ -1,4 +1,4 @@
-// Householder-QR least squares over real or complex scalars.
+// Thin-QR (modified Gram-Schmidt) least squares over real or complex scalars.
 //
 // The receiver solves many small least-squares problems per packet: the
 // preamble rotation regression (a, b, c in C), per-symbol regression in the
@@ -28,21 +28,13 @@ inline void axpy_sub(std::size_t n, std::complex<double> a, const std::complex<d
 
 }  // namespace detail
 
-template <typename T>
-struct QrResult {
-  Matrix<T> q;  ///< m x n with orthonormal columns (thin QR)
-  Matrix<T> r;  ///< n x n upper triangular
-};
-
-/// Reusable scratch for the in-place QR solve path. A workspace held
-/// across packets stops allocating once it has seen the largest problem
-/// size; every buffer is fully overwritten per solve, so reuse cannot
-/// leak state between solves.
+/// Scratch for the thin-QR least-squares solve. A workspace held across
+/// packets stops allocating once it has seen the largest problem size;
+/// every buffer is fully overwritten per solve, so reuse cannot leak state
+/// between solves.
 ///
 /// Q is stored column-major (column j at q[j*m .. j*m+m)), so the MGS
-/// projections run over contiguous spans with exactly the arithmetic the
-/// copying qr_decompose() performs on extracted columns -- results are
-/// bit-identical between the two entry points.
+/// projections run over contiguous spans.
 template <typename T>
 struct LsWorkspace {
   std::vector<T> q;     ///< m x n orthonormal columns, column-major
@@ -58,7 +50,7 @@ namespace detail {
 
 /// MGS with reorthogonalization over the column-major ws.work copy of A
 /// (dimensions already in ws.m/ws.n, ws.q/ws.r already sized). Shared by
-/// the row-major and column-major qr_decompose entry points.
+/// the row-major and column-major QR entry points.
 template <typename T>
 void mgs_on_workspace(LsWorkspace<T>& ws) {
   const std::size_t m = ws.m;
@@ -66,6 +58,8 @@ void mgs_on_workspace(LsWorkspace<T>& ws) {
   for (std::size_t j = 0; j < n; ++j) {
     const std::span<T> v(ws.work.data() + j * m, m);
     const double original_norm = norm<T>(v);
+    // Two MGS passes for numerical robustness; both projections accumulate
+    // into R (iterative reorthogonalization).
     for (int pass = 0; pass < 2; ++pass) {
       for (std::size_t i = 0; i < j; ++i) {
         const std::span<const T> qi(ws.q.data() + i * m, m);
@@ -75,7 +69,9 @@ void mgs_on_workspace(LsWorkspace<T>& ws) {
       }
     }
     const double nv = norm<T>(std::span<const T>(v));
-    RT_ENSURE(nv > 1e-300 && nv > 1e-10 * original_norm, "qr_decompose: rank-deficient matrix");
+    // Relative rank test: a column (numerically) inside the span of its
+    // predecessors makes the system rank deficient.
+    RT_ENSURE(nv > 1e-300 && nv > 1e-10 * original_norm, "QR: rank-deficient matrix");
     ws.r(j, j) = T{nv};
     for (std::size_t k = 0; k < m; ++k) ws.q[j * m + k] = v[k] / T{nv};
   }
@@ -83,48 +79,15 @@ void mgs_on_workspace(LsWorkspace<T>& ws) {
 
 }  // namespace detail
 
-/// Thin QR via modified Gram-Schmidt with reorthogonalization.
-/// Requires rows >= cols and full column rank.
-template <typename T>
-[[nodiscard]] QrResult<T> qr_decompose(const Matrix<T>& a) {
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  RT_ENSURE(m >= n, "qr_decompose requires rows >= cols");
-  Matrix<T> q(m, n);
-  Matrix<T> r(n, n);
-  std::vector<std::vector<T>> cols(n);
-  for (std::size_t j = 0; j < n; ++j) cols[j] = a.col(j);
-  for (std::size_t j = 0; j < n; ++j) {
-    auto& v = cols[j];
-    const double original_norm = norm<T>(v);
-    // Two MGS passes for numerical robustness; both projections accumulate
-    // into R (iterative reorthogonalization).
-    for (int pass = 0; pass < 2; ++pass) {
-      for (std::size_t i = 0; i < j; ++i) {
-        const T proj = dot<T>(q.col(i), v);
-        r(i, j) += proj;
-        const auto qi = q.col(i);
-        detail::axpy_sub(m, proj, qi.data(), v.data());
-      }
-    }
-    const double nv = norm<T>(v);
-    // Relative rank test: a column (numerically) inside the span of its
-    // predecessors makes the system rank deficient.
-    RT_ENSURE(nv > 1e-300 && nv > 1e-10 * original_norm, "qr_decompose: rank-deficient matrix");
-    r(j, j) = T{nv};
-    for (std::size_t k = 0; k < m; ++k) q(k, j) = v[k] / T{nv};
-  }
-  return {std::move(q), std::move(r)};
-}
-
-/// Thin QR via modified Gram-Schmidt into a reusable workspace. Same
-/// algorithm (and bit-identical results) as qr_decompose(), but the only
-/// heap traffic is growth of the workspace buffers on first use.
+/// Thin QR via modified Gram-Schmidt with reorthogonalization, into a
+/// reusable workspace (Q in ws.q, R in ws.r). Requires rows >= cols and
+/// full column rank. The only heap traffic is growth of the workspace
+/// buffers on first use.
 template <typename T>
 void qr_decompose_into(const Matrix<T>& a, LsWorkspace<T>& ws) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
-  RT_ENSURE(m >= n, "qr_decompose requires rows >= cols");
+  RT_ENSURE(m >= n, "QR requires rows >= cols");
   ws.m = m;
   ws.n = n;
   ws.q.resize(m * n);
@@ -142,7 +105,7 @@ void qr_decompose_into(const Matrix<T>& a, LsWorkspace<T>& ws) {
 template <typename T>
 void qr_decompose_cm_into(std::span<const T> a_cm, std::size_t m, std::size_t n,
                           LsWorkspace<T>& ws) {
-  RT_ENSURE(m >= n, "qr_decompose requires rows >= cols");
+  RT_ENSURE(m >= n, "QR requires rows >= cols");
   RT_ENSURE(a_cm.size() == m * n, "qr_decompose_cm_into size mismatch");
   ws.m = m;
   ws.n = n;
@@ -168,14 +131,14 @@ template <typename T>
     const std::size_t i = n - 1 - ii;
     T s = ws.y[i];
     for (std::size_t j = i + 1; j < n; ++j) s -= ws.r(i, j) * ws.x[j];
-    RT_ENSURE(abs_sq(ws.r(i, i)) > 0.0, "back_substitute: singular R");
+    RT_ENSURE(abs_sq(ws.r(i, i)) > 0.0, "solve_after_qr: singular R");
     ws.x[i] = s / ws.r(i, i);
   }
   return ws.x;
 }
 
-/// Workspace form of solve_least_squares(): same solution, zero steady-
-/// state allocations. Returns a span over ws.x.
+/// Minimizes ||A x - b||_2 by thin QR, with zero steady-state
+/// allocations. Returns a span over ws.x (valid until the next solve).
 template <typename T>
 [[nodiscard]] std::span<const T> solve_least_squares_into(const Matrix<T>& a,
                                                           std::span<const T> b,
@@ -183,33 +146,6 @@ template <typename T>
   RT_ENSURE(a.rows() == b.size(), "solve_least_squares dimension mismatch");
   qr_decompose_into(a, ws);
   return solve_after_qr(b, ws);
-}
-
-/// Solves R x = y for upper-triangular R by back substitution.
-template <typename T>
-[[nodiscard]] std::vector<T> back_substitute(const Matrix<T>& r, std::span<const T> y) {
-  const std::size_t n = r.cols();
-  RT_ENSURE(r.rows() == n && y.size() == n, "back_substitute dimension mismatch");
-  std::vector<T> x(n);
-  for (std::size_t ii = 0; ii < n; ++ii) {
-    const std::size_t i = n - 1 - ii;
-    T s = y[i];
-    for (std::size_t j = i + 1; j < n; ++j) s -= r(i, j) * x[j];
-    RT_ENSURE(abs_sq(r(i, i)) > 0.0, "back_substitute: singular R");
-    x[i] = s / r(i, i);
-  }
-  return x;
-}
-
-/// Minimizes ||A x - b||_2 and returns x (thin-QR solve).
-template <typename T>
-[[nodiscard]] std::vector<T> solve_least_squares(const Matrix<T>& a, std::span<const T> b) {
-  RT_ENSURE(a.rows() == b.size(), "solve_least_squares dimension mismatch");
-  const auto [q, r] = qr_decompose(a);
-  // y = Q^H b
-  std::vector<T> y(a.cols());
-  for (std::size_t j = 0; j < a.cols(); ++j) y[j] = dot<T>(q.col(j), b);
-  return back_substitute(r, std::span<const T>(y));
 }
 
 /// Residual norm ||A x - b||_2 for a candidate solution. Accumulates row
@@ -231,19 +167,6 @@ template <typename T>
     s += abs_sq(ax - b[i]);
   }
   return std::sqrt(s);
-}
-
-// Vector-argument conveniences (span deduction does not see through
-// std::vector at a template call site).
-template <typename T>
-[[nodiscard]] std::vector<T> solve_least_squares(const Matrix<T>& a, const std::vector<T>& b) {
-  return solve_least_squares(a, std::span<const T>(b));
-}
-
-template <typename T>
-[[nodiscard]] double residual_norm(const Matrix<T>& a, const std::vector<T>& x,
-                                   const std::vector<T>& b) {
-  return residual_norm(a, std::span<const T>(x), std::span<const T>(b));
 }
 
 }  // namespace rt::linalg

@@ -100,13 +100,6 @@ class Matrix {
     return {data_.data() + r * cols_, cols_};
   }
 
-  [[nodiscard]] std::vector<T> col(std::size_t c) const {
-    RT_ENSURE(c < cols_, "column index out of range");
-    std::vector<T> out(rows_);
-    for (std::size_t r = 0; r < rows_; ++r) out[r] = (*this)(r, c);
-    return out;
-  }
-
   [[nodiscard]] Matrix transpose() const {
     Matrix out(cols_, rows_);
     for (std::size_t r = 0; r < rows_; ++r)

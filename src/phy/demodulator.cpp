@@ -101,12 +101,11 @@ void Demodulator::demodulate_into(sig::IqWaveform& rx, int payload_slots,
   const std::size_t t_samps = p_.samples_per_slot();
 
   const PulseBank* bank = options.oracle;
-  if (options.online_training) {
+  if (bank == nullptr) {
     OnlineTrainer::train_into(p_, offline_, layout, corrected, frame_start, ws.trained,
                               ws.training);
     bank = &ws.trained;
   }
-  RT_ENSURE(bank != nullptr, "no pulse bank: enable online training or provide an oracle");
 
   const DfeEqualizer eq(p_, *bank);
   if (!ws.histories_valid || !(ws.histories_params == p_) || !(ws.histories_layout == layout)) {

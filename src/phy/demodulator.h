@@ -16,8 +16,7 @@ namespace rt::phy {
 
 struct DemodOptions {
   bool descramble = true;
-  bool online_training = true;  ///< false = use `oracle` (or fail if absent)
-  const PulseBank* oracle = nullptr;  ///< bypasses training when set
+  const PulseBank* oracle = nullptr;  ///< bypasses online training when set
   std::size_t search_limit = 0;       ///< preamble search bound (0 = whole waveform)
   bool soft_output = false;           ///< also export per-bit LLRs in soft_bits
 };

@@ -134,12 +134,11 @@ MobileDemodulator::Result MobileDemodulator::demodulate(const sig::IqWaveform& r
   const auto header_corrected = inner_.preamble().correct(rx, det);
   std::optional<PulseBank> trained;
   const PulseBank* bank = options.oracle;
-  if (options.online_training) {
+  if (bank == nullptr) {
     trained = OnlineTrainer::train(p_, inner_.offline_model(), packet.layout, header_corrected,
                                    frame_start);
     bank = &*trained;
   }
-  RT_ENSURE(bank != nullptr, "no pulse bank: enable online training or provide an oracle");
   const DfeEqualizer eq(p_, *bank);
 
   const int modules = p_.use_q_channel ? 2 * p_.dsm_order : p_.dsm_order;
@@ -159,22 +158,22 @@ MobileDemodulator::Result MobileDemodulator::demodulate(const sig::IqWaveform& r
   };
   std::vector<Anchor> anchors;
   anchors.push_back({0.5 * p_.preamble_slots, det.a, det.b, det.c});
+  linalg::LsWorkspace<Complex> ls;
   for (const auto& block : packet.blocks) {
     if (block.sync_begin_slot == 0) continue;
     const std::size_t off =
         frame_start + static_cast<std::size_t>(block.sync_begin_slot) * t_samps;
     if (off + sync_reference_.size() > rx.size()) continue;
     linalg::ComplexMatrix design(sync_reference_.size(), 3);
-    std::vector<Complex> y(sync_reference_.size());
     for (std::size_t i = 0; i < sync_reference_.size(); ++i) {
       const Complex x = rx[off + i];
       design(i, 0) = x;
       design(i, 1) = std::conj(x);
       design(i, 2) = Complex(1.0, 0.0);
-      y[i] = sync_reference_[i];
     }
     try {
-      const auto sol = linalg::solve_least_squares(design, y);
+      const auto sol = linalg::solve_least_squares_into(
+          design, std::span<const Complex>(sync_reference_), ls);
       anchors.push_back({block.sync_begin_slot + 0.5 * cfg_.sync_slots, sol[0], sol[1], sol[2]});
       ++out.blocks_resynced;
     } catch (const PreconditionError&) {

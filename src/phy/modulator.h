@@ -55,23 +55,22 @@ class Modulator {
 
   /// Builds a full packet. `payload_bits` is scrambled (DC balance,
   /// footnote 4), zero-padded to a whole number of slots, and mapped to
-  /// symbols. Set `scramble` false for raw-waveform experiments.
-  [[nodiscard]] PacketSchedule modulate(std::span<const std::uint8_t> payload_bits,
-                                        bool scramble = true) const {
+  /// symbols.
+  [[nodiscard]] PacketSchedule modulate(std::span<const std::uint8_t> payload_bits) const {
     ModulatorWorkspace ws;
     PacketSchedule out;
-    modulate_into(payload_bits, ws, out, scramble);
+    modulate_into(payload_bits, ws, out);
     return out;
   }
 
   /// Workspace form of modulate(): rebuilds `out` inside its existing
   /// capacity. Bit-identical to modulate().
   void modulate_into(std::span<const std::uint8_t> payload_bits, ModulatorWorkspace& ws,
-                     PacketSchedule& out, bool scramble = true) const {
+                     PacketSchedule& out) const {
     RT_TRACE_SPAN("modulate");
     auto& bits = ws.bits;
     bits.assign(payload_bits.begin(), payload_bits.end());
-    if (scramble) scrambler_.apply_in_place(bits);
+    scrambler_.apply_in_place(bits);
     const int bps = bits_per_slot();
     // Pad to whole firing groups so the receiver can derive the symbol
     // count from the slot count alone (basic DSM keeps whole periods).

@@ -63,7 +63,7 @@ double reference_power(const phy::PhyParams& params, const lcm::TagConfig& tag_c
 
 Channel::Channel(const phy::PhyParams& params, lcm::TagConfig tag_config,
                  const ChannelConfig& config)
-    : params_(params), tag_cfg_(tag_config), cfg_(config), noise_rng_(config.noise_seed) {
+    : params_(params), tag_cfg_(tag_config), cfg_(config) {
   params_.validate();
   cfg_.pose.validate();
   ref_power_ = reference_power(params_, posed_tag_config(cfg_.pose));
@@ -101,13 +101,6 @@ phy::WaveformSource Channel::noiseless_source_at(const Pose& pose) const {
 
 phy::WaveformSource Channel::noiseless_source() const {
   return noiseless_source_at(cfg_.pose);
-}
-
-phy::WaveformSource Channel::source() {
-  // The member noise RNG advances across calls so successive packets draw
-  // independent noise (legacy serial path; parallel runs inject their own
-  // per-packet stream via source_with).
-  return source_with(noise_rng_);
 }
 
 phy::WaveformSource Channel::source_with(Rng& noise_rng) const {

@@ -6,7 +6,8 @@
 // optional human-mobility gain ripple into a WaveformSource the PHY layer
 // consumes. Noise is calibrated against the modulated signal power of the
 // configuration's own preamble section, so "SNR = x dB" means the same
-// thing across schemes.
+// thing across schemes. A Channel is immutable once built: every noise draw
+// comes from a caller-owned Rng, so one channel serves concurrent packets.
 #pragma once
 
 #include <cmath>
@@ -112,15 +113,13 @@ class Channel {
   /// the yaw-induced response distortion is applied here from the pose).
   Channel(const phy::PhyParams& params, lcm::TagConfig tag_config, const ChannelConfig& config);
 
-  /// Noisy source at the configured SNR (fresh tag state per call; the
-  /// noise stream advances across calls so packets see independent noise).
-  [[nodiscard]] phy::WaveformSource source();
-
-  /// Noisy source drawing from a caller-owned noise stream. `noise_rng`
-  /// is captured by reference and must outlive the returned source. This
-  /// is the thread-safe variant: with per-packet counter-based streams
-  /// (rt::split_seed) concurrent packets never share RNG state, which is
-  /// what makes parallel sweeps bit-identical to serial ones.
+  /// Noisy source at the configured SNR drawing from a caller-owned noise
+  /// stream (fresh tag state per call; the stream advances across calls,
+  /// so successive packets see independent noise). `noise_rng` is captured
+  /// by reference and must outlive the returned source. With per-packet
+  /// counter-based streams (rt::split_seed) concurrent packets never share
+  /// RNG state, which is what makes parallel sweeps bit-identical to
+  /// serial ones.
   [[nodiscard]] phy::WaveformSource source_with(Rng& noise_rng) const;
 
   /// Builds the reusable stage object equivalent of source_with(): one
@@ -130,10 +129,6 @@ class Channel {
   /// Identity for realization caching: stable for this object's lifetime,
   /// distinct across channel instances (including copies).
   [[nodiscard]] std::uint64_t id() const { return id_.value; }
-
-  /// The member noise stream advanced by source() (legacy serial path);
-  /// exposed so workspace callers can reproduce source()'s draw order.
-  [[nodiscard]] Rng& shared_noise_rng() { return noise_rng_; }
 
   /// Noise-free source at the same pose (offline training / oracle use).
   [[nodiscard]] phy::WaveformSource noiseless_source() const;
@@ -159,7 +154,6 @@ class Channel {
   ChannelConfig cfg_;
   double ref_power_ = 0.0;
   double sigma_ = 0.0;
-  Rng noise_rng_;
   ChannelId id_;
 };
 

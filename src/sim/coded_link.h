@@ -1,11 +1,13 @@
-// Coded-frame link harness: FEC-wrapped packets through the LinkSimulator.
+// Coded-frame link: FEC-wrapped packets through the LinkSimulator.
 //
 // Wraps one LinkSimulator with a coding::CodedFrameCodec so every packet
-// runs whiten -> FEC encode -> interleave -> TX -> channel -> RX ->
-// deinterleave -> (soft or hard) decode -> CRC, measuring the post-decode
-// info BER against the raw channel BER -- the soft-vs-hard coding gain the
-// Fig. 18b bench sweeps over SNR. Mirrors LinkSimulator's purity contract:
-// run_packet is a pure function of (seed, noise_seed, packet_index), and
+// runs CRC -> whiten -> FEC encode -> interleave -> TX -> channel -> RX ->
+// deinterleave -> (soft or hard) decode -> CRC check. It is the one coded
+// path: the Fig. 18b bench sweeps its post-decode info BER against the raw
+// channel BER (the soft-vs-hard coding gain), and retroturbo::Link sends
+// an adopter's bytes through run_packet_bits, retrying on a CRC failure.
+// Mirrors LinkSimulator's purity contract: both entry points are pure
+// functions of (seed, noise_seed, packet_index, info bits), and
 // CodedLinkStats merges associatively/commutatively, so serial runs equal
 // any parallel partition bit for bit.
 #pragma once
@@ -30,6 +32,9 @@ struct CodedPacketOutcome {
   std::size_t raw_bit_errors = 0;   ///< pre-decode channel errors
   std::size_t erasures_used = 0;    ///< RS erasures in successful GMD retries
   double snr_estimate_db = 0.0;
+  /// Decoded info bits (empty if the preamble was lost). Views the
+  /// workspace, so the next packet on the same workspace invalidates it.
+  std::span<const std::uint8_t> payload;
 };
 
 /// Plain-sum statistics (merge is associative and commutative, the same
@@ -100,24 +105,33 @@ class CodedLink {
 
   /// Runs coded frame `packet_index` carrying `payload_bytes` random info
   /// bytes (drawn from the same payload sub-stream as the uncoded
-  /// methodology). Pure in (seed, noise_seed, packet_index); workspaces
-  /// must not be shared across threads. A lost preamble counts every info
-  /// bit as an error, matching LinkStats' conservative convention.
+  /// methodology) through run_packet_bits. Workspaces must not be shared
+  /// across threads.
   [[nodiscard]] CodedPacketOutcome run_packet(std::uint64_t packet_index,
                                               std::size_t payload_bytes, PacketWorkspace& ws,
                                               DecodeMode mode = DecodeMode::kSoft) const {
     RT_ENSURE(payload_bytes >= 1, "need at least one payload byte");
-    const obs::ScopedBind obs_bind(ws.obs);
-    const std::size_t info_n = payload_bytes * 8;
     // Sub-stream 0 is run_packet's payload stream, so a coded and an
     // uncoded campaign at the same index carry the same info bits.
     Rng info_rng(split_seed(link_.options().seed, packet_index, 0));
-    ws.info_bits.resize(info_n);
+    ws.info_bits.resize(payload_bytes * 8);
     info_rng.fill_bits(ws.info_bits);
+    return run_packet_bits(packet_index, ws.info_bits, ws, mode);
+  }
 
+  /// Codes the caller's `info_bits` (whole bytes; may be ws.info_bits) as
+  /// frame `packet_index`, sends it through LinkSimulator::run_packet_bits
+  /// and decodes it. A lost preamble counts every info bit as an error,
+  /// matching LinkStats' conservative convention.
+  [[nodiscard]] CodedPacketOutcome run_packet_bits(std::uint64_t packet_index,
+                                                   std::span<const std::uint8_t> info_bits,
+                                                   PacketWorkspace& ws,
+                                                   DecodeMode mode = DecodeMode::kSoft) const {
+    const obs::ScopedBind obs_bind(ws.obs);
+    const std::size_t info_n = info_bits.size();
     {
       RT_TRACE_SPAN("code_encode");
-      codec_.encode_into(ws.info_bits, ws.coded, ws.coded_tx_bits);
+      codec_.encode_into(info_bits, ws.coded, ws.coded_tx_bits);
     }
     const auto raw = link_.run_packet_bits(packet_index, ws.coded_tx_bits, ws);
 
@@ -155,10 +169,11 @@ class CodedLink {
       out.decode_ok = res.decode_ok;
       out.crc_ok = res.crc_ok;
       out.erasures_used = res.erasures_used;
+      out.payload = res.payload;
       RT_OBS_COUNT(kRsErasuresMarked, res.erasures_used);
       if (!res.crc_ok) RT_OBS_COUNT(kCodedCrcFailures, 1);
       for (std::size_t i = 0; i < info_n; ++i)
-        out.info_bit_errors += (res.payload[i] != ws.info_bits[i]) ? 1 : 0;
+        out.info_bit_errors += (res.payload[i] != info_bits[i]) ? 1 : 0;
     }
     return out;
   }

@@ -47,8 +47,7 @@ LinkSimulator::LinkSimulator(const phy::PhyParams& params, const lcm::TagConfig&
       channel_(params, tag_config, channel_config),
       modulator_(params),
       demodulator_(params, build_offline_model(params, channel_, options, channel_config)),
-      opts_(options),
-      rng_(options.seed) {
+      opts_(options) {
   if (opts_.oracle_templates) {
     // Fingerprints measured noiselessly at the oracle pose (default: the
     // operating pose = perfect channel knowledge) but WITHOUT roll (the
@@ -60,22 +59,8 @@ LinkSimulator::LinkSimulator(const phy::PhyParams& params, const lcm::TagConfig&
   }
 }
 
-LinkSimulator::PacketOutcome LinkSimulator::send_packet(
-    std::span<const std::uint8_t> payload_bits) {
-  // Legacy serial path: padding and noise advance the member RNG streams,
-  // so outcomes depend on call order. Order-independent runs go through
-  // run_packet instead. The per-thread workspace keeps repeated sends on
-  // one simulator allocation-free after warm-up.
-  static thread_local PacketWorkspace ws;
-  auto out = transmit_into(payload_bits, rng_, &channel_.shared_noise_rng(), ws);
-  if (out.preamble_found)
-    out.received_bits.assign(ws.result.bits.begin(),
-                             ws.result.bits.begin() + static_cast<std::ptrdiff_t>(out.bits));
-  return out;
-}
-
 LinkSimulator::PacketOutcome LinkSimulator::transmit_into(
-    std::span<const std::uint8_t> payload_bits, Rng& pad_rng, Rng* noise_rng,
+    std::span<const std::uint8_t> payload_bits, Rng& pad_rng, Rng& noise_rng,
     PacketWorkspace& ws) const {
   RT_ENSURE(!payload_bits.empty(), "packets need a non-empty payload");
   // All stage spans/metrics of this packet land in the workspace recorder.
@@ -85,7 +70,6 @@ LinkSimulator::PacketOutcome LinkSimulator::transmit_into(
   const auto& pkt = ws.schedule;
 
   phy::DemodOptions dopts;
-  dopts.online_training = opts_.online_training && !opts_.oracle_templates;
   dopts.oracle = opts_.oracle_templates ? &*oracle_ : nullptr;
   dopts.search_limit = static_cast<std::size_t>(opts_.max_pad_slots + 2) *
                        params_.samples_per_slot();
@@ -115,7 +99,7 @@ LinkSimulator::PacketOutcome LinkSimulator::transmit_into(
 }
 
 std::size_t LinkSimulator::render_into(std::span<const std::uint8_t> payload_bits, Rng& pad_rng,
-                                       Rng* noise_rng, PacketWorkspace& ws) const {
+                                       Rng& noise_rng, PacketWorkspace& ws) const {
   modulator_.modulate_into(payload_bits, ws.tx, ws.schedule);
   auto& pkt = ws.schedule;
 
@@ -130,7 +114,7 @@ std::size_t LinkSimulator::render_into(std::span<const std::uint8_t> payload_bit
 
   if (!ws.channel || ws.channel->channel_id() != channel_.id())
     ws.channel.emplace(channel_.make_realization());
-  ws.channel->synthesize_into(pkt.firings, duration, noise_rng, ws.synth, ws.rx);
+  ws.channel->synthesize_into(pkt.firings, duration, &noise_rng, ws.synth, ws.rx);
   return static_cast<std::size_t>(pad_slots) * params_.samples_per_slot();
 }
 
@@ -165,7 +149,7 @@ LinkSimulator::PacketOutcome LinkSimulator::run_packet(std::uint64_t packet_inde
   Rng noise_rng(split_seed(channel_.config().noise_seed, packet_index, kNoiseStream));
   ws.payload.resize(payload_bytes * 8);
   payload_rng.fill_bits(ws.payload);
-  return transmit_into(ws.payload, pad_rng, &noise_rng, ws);
+  return transmit_into(ws.payload, pad_rng, noise_rng, ws);
 }
 
 LinkSimulator::PacketOutcome LinkSimulator::run_packet_bits(
@@ -175,7 +159,7 @@ LinkSimulator::PacketOutcome LinkSimulator::run_packet_bits(
   // unused because the caller supplies the on-air bits.
   Rng pad_rng(split_seed(opts_.seed, packet_index, kPadStream));
   Rng noise_rng(split_seed(channel_.config().noise_seed, packet_index, kNoiseStream));
-  return transmit_into(payload_bits, pad_rng, &noise_rng, ws);
+  return transmit_into(payload_bits, pad_rng, noise_rng, ws);
 }
 
 LinkSimulator::RenderedPacket LinkSimulator::render_packet_rx(std::uint64_t packet_index,
@@ -191,7 +175,7 @@ LinkSimulator::RenderedPacket LinkSimulator::render_packet_rx(std::uint64_t pack
   ws.payload.resize(payload_bytes * 8);
   payload_rng.fill_bits(ws.payload);
   RenderedPacket out;
-  out.pad_samples = render_into(ws.payload, pad_rng, &noise_rng, ws);
+  out.pad_samples = render_into(ws.payload, pad_rng, noise_rng, ws);
   out.payload_bits = ws.payload.size();
   out.payload_slots = ws.schedule.layout.payload_slots;
   return out;

@@ -19,8 +19,7 @@ namespace rt::sim {
 struct SimOptions {
   int offline_rank = 3;                 ///< S: truncated KL basis count
   std::vector<double> offline_yaws_deg = {0.0, 20.0};  ///< offline-training orientations
-  bool online_training = true;          ///< per-packet training (vs oracle templates)
-  bool oracle_templates = false;        ///< perfect channel knowledge (upper bound)
+  bool oracle_templates = false;        ///< perfect channel knowledge, no online training
   int max_pad_slots = 2;                ///< random packet start padding
   std::uint64_t seed = 42;
   /// Reuse an already-trained offline model (the one-time offline step does
@@ -80,7 +79,7 @@ class LinkSimulator {
   LinkSimulator(const phy::PhyParams& params, const lcm::TagConfig& tag_config,
                 const ChannelConfig& channel_config, const SimOptions& options = {});
 
-  /// Sends one packet of the given payload bits.
+  /// What one packet's trip through TX -> channel -> RX produced.
   struct PacketOutcome {
     bool preamble_found = false;
     std::size_t bit_errors = 0;
@@ -96,8 +95,6 @@ class LinkSimulator {
     /// is invalidated by the next packet on the same workspace.
     std::span<const float> soft_bits;
   };
-  [[nodiscard]] PacketOutcome send_packet(std::span<const std::uint8_t> payload_bits);
-
   /// Runs packet number `packet_index` of the paper's BER methodology
   /// (random payload, random start padding, fresh channel noise) as a pure
   /// function of (options.seed, channel noise_seed, packet_index): the
@@ -159,17 +156,16 @@ class LinkSimulator {
  private:
   /// Runs one packet through the workspace pipeline: modulate into
   /// ws.schedule, pad the schedule in place, render through the cached
-  /// channel realization into ws.rx, demodulate in place. `noise_rng` may
-  /// be null for a noiseless shot. Does not fill `received_bits` (see
-  /// run_packet workspace overload).
+  /// channel realization into ws.rx, demodulate in place. Does not fill
+  /// `received_bits` (see run_packet workspace overload).
   [[nodiscard]] PacketOutcome transmit_into(std::span<const std::uint8_t> payload_bits,
-                                            Rng& pad_rng, Rng* noise_rng,
+                                            Rng& pad_rng, Rng& noise_rng,
                                             PacketWorkspace& ws) const;
 
   /// TX half of transmit_into(): modulate, pad, render through the cached
   /// channel realization into ws.rx. Returns the padding in samples.
   std::size_t render_into(std::span<const std::uint8_t> payload_bits, Rng& pad_rng,
-                          Rng* noise_rng, PacketWorkspace& ws) const;
+                          Rng& noise_rng, PacketWorkspace& ws) const;
 
   phy::PhyParams params_;
   Channel channel_;
@@ -177,7 +173,6 @@ class LinkSimulator {
   phy::Demodulator demodulator_;
   std::optional<phy::PulseBank> oracle_;
   SimOptions opts_;
-  Rng rng_;
 };
 
 }  // namespace rt::sim

@@ -56,24 +56,35 @@ TEST(Gf256, PowAlphaCyclic) {
   EXPECT_EQ(gf.pow_alpha(-1), gf.inv(2));
 }
 
+/// encode_block_into() into a fresh n-byte codeword.
+std::vector<std::uint8_t> encode(const ReedSolomon& rs, std::span<const std::uint8_t> data) {
+  ReedSolomon::Scratch scratch;
+  std::vector<std::uint8_t> cw(rs.n());
+  rs.encode_block_into(data, scratch, cw);
+  return cw;
+}
+
 TEST(ReedSolomon, EncodeDecodeNoErrors) {
   ReedSolomon rs(255, 223);
+  ReedSolomon::Scratch scratch;
   Rng rng(7);
   const auto data = rng.bytes(223);
-  const auto cw = rs.encode_block(data);
+  const auto cw = encode(rs, data);
   EXPECT_EQ(cw.size(), 255u);
-  const auto decoded = rs.decode_block(cw);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, data);
+  EXPECT_TRUE(std::equal(data.begin(), data.end(), cw.begin()));  // systematic
+  std::vector<std::uint8_t> decoded(223);
+  ASSERT_TRUE(rs.decode_block_into(cw, {}, scratch, decoded));
+  EXPECT_EQ(decoded, data);
 }
 
 class RsErrorCountTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RsErrorCountTest, CorrectsUpToTErrors) {
   ReedSolomon rs(63, 47);  // t = 8
+  ReedSolomon::Scratch scratch;
   Rng rng(11 + static_cast<std::uint64_t>(GetParam()));
   const auto data = rng.bytes(47);
-  auto cw = rs.encode_block(data);
+  auto cw = encode(rs, data);
   // Inject `errors` distinct symbol errors.
   const int errors = GetParam();
   std::vector<std::size_t> pos;
@@ -82,18 +93,19 @@ TEST_P(RsErrorCountTest, CorrectsUpToTErrors) {
     if (std::find(pos.begin(), pos.end(), p) == pos.end()) pos.push_back(p);
   }
   for (const auto p : pos) cw[p] ^= static_cast<std::uint8_t>(rng.uniform_int(1, 255));
-  const auto decoded = rs.decode_block(cw);
-  ASSERT_TRUE(decoded.has_value()) << errors << " errors";
-  EXPECT_EQ(*decoded, data);
+  std::vector<std::uint8_t> decoded(47);
+  ASSERT_TRUE(rs.decode_block_into(cw, {}, scratch, decoded)) << errors << " errors";
+  EXPECT_EQ(decoded, data);
 }
 
 INSTANTIATE_TEST_SUITE_P(UpToT, RsErrorCountTest, ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 TEST(ReedSolomon, DetectsUncorrectableBeyondT) {
   ReedSolomon rs(63, 55);  // t = 4
+  ReedSolomon::Scratch scratch;
   Rng rng(13);
   const auto data = rng.bytes(55);
-  auto cw = rs.encode_block(data);
+  const auto cw = encode(rs, data);
   // 12 errors: far beyond t; decoder must fail or miscorrect detectably.
   int failures = 0;
   for (int trial = 0; trial < 50; ++trial) {
@@ -104,36 +116,12 @@ TEST(ReedSolomon, DetectsUncorrectableBeyondT) {
       if (std::find(pos.begin(), pos.end(), p) == pos.end()) pos.push_back(p);
     }
     for (const auto p : pos) corrupted[p] ^= static_cast<std::uint8_t>(rng.uniform_int(1, 255));
-    const auto decoded = rs.decode_block(corrupted);
-    if (!decoded || *decoded != data) ++failures;
+    std::vector<std::uint8_t> decoded(55);
+    if (!rs.decode_block_into(corrupted, {}, scratch, decoded) || decoded != data) ++failures;
   }
   // Virtually all trials must be flagged/failed (miscorrection is possible
   // but astronomically rare at this error weight).
   EXPECT_GE(failures, 49);
-}
-
-TEST(ReedSolomon, MultiBlockMessageRoundTrip) {
-  ReedSolomon rs(15, 11);
-  Rng rng(17);
-  const auto msg = rng.bytes(100);  // not a multiple of k=11
-  const auto coded = rs.encode(msg);
-  EXPECT_EQ(coded.size() % 15, 0u);
-  const auto decoded = rs.decode(coded, msg.size());
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, msg);
-}
-
-TEST(ReedSolomon, MultiBlockCorrectsScatteredErrors) {
-  ReedSolomon rs(15, 11);  // t = 2 per block
-  Rng rng(19);
-  const auto msg = rng.bytes(44);
-  auto coded = rs.encode(msg);
-  // One error in each block.
-  for (std::size_t b = 0; b < coded.size() / 15; ++b)
-    coded[b * 15 + (b % 15)] ^= 0xA5;
-  const auto decoded = rs.decode(coded, msg.size());
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, msg);
 }
 
 TEST(ReedSolomon, ParamValidation) {
@@ -230,7 +218,7 @@ TEST(ReedSolomonErasures, CorrectsErrorsPlusErasuresWithinBudget) {
   ReedSolomon::Scratch scratch;
   Rng rng(37);
   const auto data = rng.bytes(47);
-  const auto cw = rs.encode_block(data);
+  const auto cw = encode(rs, data);
   for (const auto& [errors, erasures] : std::vector<std::pair<int, int>>{
            {0, 1}, {0, 16}, {1, 14}, {2, 12}, {4, 8}, {6, 4}, {7, 2}, {8, 0}}) {
     auto corrupted = cw;
@@ -257,7 +245,7 @@ TEST(ReedSolomonErasures, ErasedPositionsNeedNotBeWrong) {
   ReedSolomon::Scratch scratch;
   Rng rng(41);
   const auto data = rng.bytes(47);
-  auto cw = rs.encode_block(data);
+  auto cw = encode(rs, data);
   cw[5] ^= 0x3C;  // one real error
   const std::vector<std::size_t> flagged = {10, 20, 30, 40};  // all actually clean
   std::vector<std::uint8_t> out(47);
@@ -270,7 +258,7 @@ TEST(ReedSolomonErasures, FailsBeyondBudgetAndKeepsReceivedPrefix) {
   ReedSolomon::Scratch scratch;
   Rng rng(43);
   const auto data = rng.bytes(55);
-  const auto cw = rs.encode_block(data);
+  const auto cw = encode(rs, data);
   int failures = 0;
   for (int trial = 0; trial < 30; ++trial) {
     auto corrupted = cw;
@@ -492,6 +480,75 @@ TEST(CodedFrame, CrcCatchesCorruptionOnUncodedFrames) {
   tx[17] ^= 1U;
   const auto res = codec.decode_hard_into(tx, payload.size(), ws);
   EXPECT_FALSE(res.crc_ok);
+}
+
+// A Reed-Solomon message longer than one codeword is a CodedFrameCodec
+// frame: a 100-byte payload plus its CRC is 102 message bytes, ten
+// RS(15, 11) codewords (t = 2 each), the last one zero-padded.
+constexpr std::size_t kMultiBlockRsBlocks = 10;
+
+CodedFrameConfig rs_15_11_frame() {
+  CodedFrameConfig cfg;
+  cfg.code = CodeDescriptor::reed_solomon(15, 11);
+  return cfg;
+}
+
+struct MultiBlockRsFrame {
+  CodedFrameCodec codec{rs_15_11_frame()};
+  CodedFrameWorkspace ws;
+  std::vector<std::uint8_t> payload;
+  std::vector<std::uint8_t> tx;
+
+  MultiBlockRsFrame() : payload(100 * 8) {
+    Rng rng(17);
+    rng.fill_bits(payload);
+    codec.encode_into(payload, ws, tx);
+  }
+};
+
+TEST(ReedSolomon, MultiBlockMessageRoundTrip) {
+  MultiBlockRsFrame f;
+  ASSERT_EQ(f.tx.size(), 152u * 8);  // 150 codeword bytes + interleaver fill
+
+  const auto clean_soft =
+      f.codec.decode_soft_into(llrs_from_bits(f.tx), f.payload.size(), f.ws);
+  EXPECT_TRUE(clean_soft.decode_ok && clean_soft.crc_ok);
+  EXPECT_TRUE(std::equal(f.payload.begin(), f.payload.end(), clean_soft.payload.begin()));
+  const auto clean_hard = f.codec.decode_hard_into(f.tx, f.payload.size(), f.ws);
+  EXPECT_TRUE(clean_hard.decode_ok && clean_hard.crc_ok);
+  EXPECT_TRUE(std::equal(f.payload.begin(), f.payload.end(), clean_hard.payload.begin()));
+}
+
+TEST(ReedSolomon, MultiBlockCorrectsScatteredErrors) {
+  MultiBlockRsFrame f;
+  ASSERT_EQ(f.tx.size(), 152u * 8);
+
+  // One byte error in every codeword. The interleaver scatters codeword
+  // bytes over the air, so map each on-air byte to its codeword position.
+  const std::size_t air_bytes = f.tx.size() / 8;
+  std::vector<std::size_t> position(air_bytes);
+  for (std::size_t i = 0; i < air_bytes; ++i) position[i] = i;
+  std::vector<std::size_t> on_air;
+  const BlockInterleaver il(CodedFrameCodec::kInterleaverRows,
+                            air_bytes / CodedFrameCodec::kInterleaverRows);
+  il.interleave_into(std::span<const std::size_t>(position), on_air);
+  auto corrupted = f.tx;
+  for (std::size_t b = 0; b < kMultiBlockRsBlocks; ++b) {
+    const std::size_t target = b * 15 + (b % 15);
+    const auto at = std::find(on_air.begin(), on_air.end(), target) - on_air.begin();
+    for (std::size_t j = 0; j < 8; ++j)
+      corrupted[static_cast<std::size_t>(at) * 8 + j] ^=
+          static_cast<std::uint8_t>((0xA5U >> (7 - j)) & 1U);
+  }
+  ASSERT_NE(corrupted, f.tx);
+
+  const auto soft =
+      f.codec.decode_soft_into(llrs_from_bits(corrupted), f.payload.size(), f.ws);
+  EXPECT_TRUE(soft.decode_ok && soft.crc_ok);
+  EXPECT_TRUE(std::equal(f.payload.begin(), f.payload.end(), soft.payload.begin()));
+  const auto hard = f.codec.decode_hard_into(corrupted, f.payload.size(), f.ws);
+  EXPECT_TRUE(hard.decode_ok && hard.crc_ok);
+  EXPECT_TRUE(std::equal(f.payload.begin(), f.payload.end(), hard.payload.begin()));
 }
 
 TEST(CodedFrame, GmdErasureRetriesRescueWeakBytes) {

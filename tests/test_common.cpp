@@ -92,20 +92,31 @@ TEST(Units, TimeHelpers) {
 
 TEST(BitIo, BytesToBitsMsbFirst) {
   const std::vector<std::uint8_t> bytes = {0b10110001};
-  const auto bits = bytes_to_bits(bytes);
+  std::vector<std::uint8_t> bits(8);
+  unpack_bits(bytes, bits);
   const std::vector<std::uint8_t> expect = {1, 0, 1, 1, 0, 0, 0, 1};
   EXPECT_EQ(bits, expect);
+  std::vector<std::uint8_t> packed(1);
+  pack_bits(expect, packed);
+  EXPECT_EQ(packed, bytes);
 }
 
 TEST(BitIo, RoundTrip) {
   Rng rng(9);
   const auto bytes = rng.bytes(257);
-  EXPECT_EQ(bits_to_bytes(bytes_to_bits(bytes)), bytes);
+  std::vector<std::uint8_t> bits(bytes.size() * 8);
+  unpack_bits(bytes, bits);
+  std::vector<std::uint8_t> packed(bytes.size());
+  pack_bits(bits, packed);
+  EXPECT_EQ(packed, bytes);
 }
 
 TEST(BitIo, BitsToBytesRejectsPartialByte) {
   const std::vector<std::uint8_t> bits(7, 1);
-  EXPECT_THROW((void)bits_to_bytes(bits), PreconditionError);
+  std::vector<std::uint8_t> bytes(1);
+  EXPECT_THROW(pack_bits(bits, bytes), PreconditionError);
+  std::vector<std::uint8_t> too_few(7);
+  EXPECT_THROW(unpack_bits(bytes, too_few), PreconditionError);
 }
 
 TEST(BitIo, HammingDistance) {

@@ -53,6 +53,82 @@ TEST(Facade, CodedLinkConfig) {
   EXPECT_EQ(r.received, payload);
 }
 
+TEST(Facade, RsFrameDeliversInOneAttemptAtHighSnr) {
+  auto cfg = fast_config();
+  cfg.rs_n = 15;
+  cfg.rs_k = 11;
+  cfg.snr_override_db = 40.0;
+  Link link(cfg);
+  rt::Rng rng(9);
+  const auto payload = rng.bytes(20);
+  const auto r = link.send_bytes(payload);
+  ASSERT_TRUE(r.delivered);
+  EXPECT_EQ(r.attempts, 1);
+  EXPECT_EQ(r.received, payload);
+}
+
+TEST(Facade, CodedLinkSurvivesNoiseUncodedFails) {
+  // One attempt per frame at an SNR that leaves a few raw bit errors in
+  // most packets: RS(63, 39) absorbs them, the uncoded CRC rejects them.
+  auto cfg = fast_config();
+  cfg.snr_override_db = 8.0;
+  cfg.max_retransmissions = 0;
+  auto coded_cfg = cfg;
+  coded_cfg.rs_n = 63;
+  coded_cfg.rs_k = 39;
+  Link coded(coded_cfg);
+  cfg.seed = 2;
+  Link raw(cfg);
+  rt::Rng rng(11);
+  int coded_ok = 0;
+  int raw_ok = 0;
+  for (int i = 0; i < 4; ++i) {
+    const auto payload = rng.bytes(24);
+    const auto c = coded.send_bytes(payload);
+    const auto u = raw.send_bytes(payload);
+    coded_ok += c.delivered && c.received == payload ? 1 : 0;
+    raw_ok += u.delivered && u.received == payload ? 1 : 0;
+  }
+  EXPECT_GE(coded_ok, raw_ok);
+  EXPECT_GE(coded_ok, 3);
+}
+
+TEST(Arq, RetriesUntilSuccess) {
+  // At 6 dB the first attempt of this RS(63, 39) frame fails its CRC; a
+  // retransmission, a fresh packet with fresh noise, gets it through.
+  auto cfg = fast_config();
+  cfg.snr_override_db = 6.0;
+  cfg.rs_n = 63;
+  cfg.rs_k = 39;
+  Link link(cfg);
+  rt::Rng rng(11);
+  const auto payload = rng.bytes(24);
+  const auto r = link.send_bytes(payload);
+  ASSERT_TRUE(r.delivered);
+  EXPECT_GT(r.attempts, 1);
+  EXPECT_LE(r.attempts, 1 + cfg.max_retransmissions);
+  EXPECT_EQ(r.received, payload);
+}
+
+TEST(Arq, GivesUpAfterMaxAttempts) {
+  // Nothing gets through at -20 dB, so every send uses its whole budget:
+  // the first attempt plus max_retransmissions retransmissions.
+  auto cfg = fast_config();
+  cfg.snr_override_db = -20.0;
+  rt::Rng rng(3);
+  const auto payload = rng.bytes(16);
+  for (const int retransmissions : {0, 2}) {
+    cfg.max_retransmissions = retransmissions;
+    Link link(cfg);
+    const auto r = link.send_bytes(payload);
+    EXPECT_FALSE(r.delivered);
+    EXPECT_EQ(r.attempts, 1 + retransmissions);
+    EXPECT_TRUE(r.received.empty());
+  }
+  cfg.max_retransmissions = -1;
+  EXPECT_THROW(Link{cfg}, rt::PreconditionError);
+}
+
 TEST(Facade, MeasureBerReportsStats) {
   Link link(fast_config());
   const auto stats = link.measure_ber(2, 8);

@@ -77,7 +77,8 @@ TEST(Integration, LowSnrSynchronizationViaCorrelationPath) {
   sim::ChannelConfig ch;
   ch.snr_override_db = 0.0;
   sim::Channel channel(p, p.tag_config(), ch);
-  auto src = channel.source();
+  Rng noise_rng(ch.noise_seed);
+  auto src = channel.source_with(noise_rng);
   const auto rx = src(pkt.firings, pkt.duration_s + p.symbol_duration_s());
 
   const phy::PreambleProcessor pre(p);

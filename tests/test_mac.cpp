@@ -1,65 +1,18 @@
-// Tests for the MAC layer: frames, ARQ, TDMA + discovery, rate table,
-// goodput model, the rate-adaptation network study and the full-stack
-// MacLink path.
+// Tests for the MAC layer: TDMA + discovery, rate table, goodput model and
+// the rate-adaptation network study. The waveform-level send-with-retry
+// path is the retroturbo::Link facade (tests/test_core.cpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/rng.h"
-#include "common/units.h"
-#include "mac/arq.h"
-#include "mac/frame.h"
 #include "mac/goodput.h"
-#include "mac/mac_link.h"
 #include "mac/network.h"
 #include "mac/rate_table.h"
 #include "mac/tdma.h"
 
 namespace rt::mac {
 namespace {
-
-TEST(MacFrameTest, SerializeParseRoundTrip) {
-  Rng rng(1);
-  MacFrame f;
-  f.tag_id = 7;
-  f.seq = 42;
-  f.payload = rng.bytes(100);
-  const auto bytes = serialize(f);
-  EXPECT_EQ(bytes.size(), 106u);
-  const auto parsed = parse(bytes);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, f);
-}
-
-TEST(MacFrameTest, CorruptionDetected) {
-  Rng rng(2);
-  MacFrame f;
-  f.payload = rng.bytes(32);
-  auto bytes = serialize(f);
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    auto bad = bytes;
-    bad[i] ^= 0x40;
-    EXPECT_FALSE(parse(bad).has_value()) << "byte " << i;
-  }
-  // Truncation and length mismatch rejected.
-  EXPECT_FALSE(parse(std::span(bytes).first(10)).has_value());
-  EXPECT_FALSE(parse(std::vector<std::uint8_t>{1, 2, 3}).has_value());
-}
-
-TEST(Arq, RetriesUntilSuccess) {
-  int calls = 0;
-  const StopAndWaitArq arq(5);
-  const auto r = arq.run([&] { return ++calls == 3; });
-  EXPECT_TRUE(r.delivered);
-  EXPECT_EQ(r.attempts, 3);
-}
-
-TEST(Arq, GivesUpAfterMaxAttempts) {
-  const StopAndWaitArq arq(4);
-  const auto r = arq.run([] { return false; });
-  EXPECT_FALSE(r.delivered);
-  EXPECT_EQ(r.attempts, 4);
-}
 
 TEST(Tdma, RoundRobinOwnership) {
   TdmaScheduler s;
@@ -283,68 +236,6 @@ TEST(Network, RateAdaptationGainGrowsWithTags) {
   EXPECT_LT(r4.gain(), 3.0);
   EXPECT_GT(r100.gain(), 2.0);
   EXPECT_GT(r100.mean_discovery_rounds, r4.mean_discovery_rounds);
-}
-
-TEST(MacLinkTest, DeliversFrameOverRealPhy) {
-  phy::PhyParams p;
-  p.dsm_order = 4;
-  p.bits_per_axis = 1;
-  p.slot_s = rt::ms(1.0);
-  p.charge_s = rt::ms(0.5);
-  p.preamble_slots = 32;
-  p.equalizer_branches = 8;
-  sim::ChannelConfig ch;
-  ch.snr_override_db = 40.0;
-  sim::SimOptions so;
-  so.offline_yaws_deg = {0.0};
-  sim::LinkSimulator simulator(p, p.tag_config(), ch, so);
-  MacLink link(simulator, coding::ReedSolomon(15, 11));
-
-  Rng rng(9);
-  MacFrame f;
-  f.tag_id = 3;
-  f.seq = 1;
-  f.payload = rng.bytes(20);
-  const auto r = link.send(f, StopAndWaitArq(3));
-  ASSERT_TRUE(r.delivered);
-  EXPECT_EQ(r.attempts, 1);
-  ASSERT_TRUE(r.received.has_value());
-  EXPECT_EQ(*r.received, f);
-  EXPECT_GT(MacLink::efficiency(r, f.payload.size()), 0.3);
-}
-
-TEST(MacLinkTest, CodedLinkSurvivesNoiseUncodedFails) {
-  phy::PhyParams p;
-  p.dsm_order = 4;
-  p.bits_per_axis = 1;
-  p.slot_s = rt::ms(1.0);
-  p.charge_s = rt::ms(0.5);
-  p.preamble_slots = 32;
-  p.equalizer_branches = 8;
-  sim::ChannelConfig ch;
-  ch.snr_override_db = 10.0;  // a few raw bit errors per packet expected
-  sim::SimOptions so;
-  so.offline_yaws_deg = {0.0};
-
-  sim::LinkSimulator sim_coded(p, p.tag_config(), ch, so);
-  MacLink coded(sim_coded, coding::ReedSolomon(63, 39));
-  sim::ChannelConfig ch2 = ch;
-  ch2.noise_seed = 2;
-  sim::LinkSimulator sim_raw(p, p.tag_config(), ch2, so);
-  MacLink raw(sim_raw, std::nullopt);
-
-  Rng rng(11);
-  int coded_ok = 0;
-  int raw_ok = 0;
-  for (int i = 0; i < 4; ++i) {
-    MacFrame f;
-    f.seq = static_cast<std::uint8_t>(i);
-    f.payload = rng.bytes(24);
-    coded_ok += coded.send(f, StopAndWaitArq(1)).delivered ? 1 : 0;
-    raw_ok += raw.send(f, StopAndWaitArq(1)).delivered ? 1 : 0;
-  }
-  EXPECT_GE(coded_ok, raw_ok);
-  EXPECT_GE(coded_ok, 3);
 }
 
 }  // namespace

@@ -41,7 +41,8 @@ struct Scenario {
                                static_cast<std::size_t>(p.bits_per_slot()));
     const auto pkt = mod.modulate(bits);
     sim::Channel channel(p, p.tag_config(), ch);
-    auto src = channel.source();
+    Rng noise_rng(ch.noise_seed);
+    auto src = channel.source_with(noise_rng);
     const auto rx = src(pkt.firings, pkt.duration_s + p.symbol_duration_s());
     const MobileDemodulator demod(p, m, sim::train_offline_model(p, p.tag_config()));
     DemodOptions opts;
@@ -113,7 +114,8 @@ TEST(Mobile, ReportsPerBlockRotationEstimates) {
                              static_cast<std::size_t>(s.p.bits_per_slot()));
   const auto pkt = mod.modulate(bits);
   sim::Channel channel(s.p, s.p.tag_config(), s.ch);
-  auto src = channel.source();
+  Rng noise_rng(s.ch.noise_seed);
+  auto src = channel.source_with(noise_rng);
   const auto rx = src(pkt.firings, pkt.duration_s + s.p.symbol_duration_s());
   const MobileDemodulator demod(s.p, s.m, sim::train_offline_model(s.p, s.p.tag_config()));
   const auto res = demod.demodulate(rx, pkt);

@@ -355,7 +355,6 @@ OfflineModel make_offline_model(const PhyParams& p, int rank = 3) {
 TEST(EndToEnd, NoiselessIdealChannelIsErrorFree) {
   const auto p = test_params();
   EndToEnd e2e{p, TestChannel{p.tag_config()}};
-  e2e.opts.online_training = false;
   const auto oracle = collect_fingerprints(p, e2e.ch.source());
   e2e.opts.oracle = &oracle;
   const Demodulator demod(p, make_offline_model(p));
@@ -437,7 +436,6 @@ TEST(Equalizer, MoreBranchesNeverWorseUnderNoise) {
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     EndToEnd e2e{p, TestChannel{p.tag_config(), 0.0, 1.0, 0.35, 100 + seed}};
     e2e.bit_seed = 300 + seed;
-    e2e.opts.online_training = false;
     e2e.opts.oracle = &oracle;
     ber1 += e2e.run(demod1).ber;
     ber8 += e2e.run(demod8).ber;
@@ -452,7 +450,6 @@ TEST(Equalizer, StateMergingMatchesPlainBeamWhenKLarge) {
   p_merge.merge_equalizer_states = true;
   const auto oracle = collect_fingerprints(p, TestChannel{p.tag_config()}.source());
   EndToEnd e2e{p, TestChannel{p.tag_config(), 0.0, 1.0, 0.3, 55}};
-  e2e.opts.online_training = false;
   e2e.opts.oracle = &oracle;
   const Demodulator demod_a(p, make_offline_model(p));
   const Demodulator demod_b(p_merge, make_offline_model(p));

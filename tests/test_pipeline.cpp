@@ -112,7 +112,6 @@ TEST(PacketPipeline, OracleTemplatePathMatchesThroughWorkspace) {
   auto p = fast_params();
   auto opts = fast_options();
   opts.oracle_templates = true;
-  opts.online_training = false;
   const LinkSimulator sim(p, p.tag_config(), fast_channel(25.0, 3), opts);
   PacketWorkspace ws;
   for (std::uint64_t i = 0; i < 3; ++i) {

@@ -60,16 +60,19 @@ class RsCodeProperty : public ::testing::TestWithParam<std::pair<int, int>> {};
 TEST_P(RsCodeProperty, CorrectsExactlyUpToDesignRadius) {
   const auto [n, k] = GetParam();
   coding::ReedSolomon rs(n, k);
+  coding::ReedSolomon::Scratch scratch;
   Rng rng(static_cast<std::uint64_t>(n * 1000 + k));
   const auto data = rng.bytes(static_cast<std::size_t>(k));
-  const auto cw = rs.encode_block(data);
+  std::vector<std::uint8_t> cw(static_cast<std::size_t>(n));
+  rs.encode_block_into(data, scratch, cw);
   const auto t = rs.correctable_errors();
   // Exactly t errors: always corrected.
   auto corrupted = cw;
   for (std::size_t e = 0; e < t; ++e) corrupted[e * 2] ^= static_cast<std::uint8_t>(e + 1);
-  const auto fixed = rs.decode_block(corrupted);
-  ASSERT_TRUE(fixed.has_value()) << "RS(" << n << "," << k << ")";
-  EXPECT_EQ(*fixed, data);
+  std::vector<std::uint8_t> fixed(static_cast<std::size_t>(k));
+  ASSERT_TRUE(rs.decode_block_into(corrupted, {}, scratch, fixed))
+      << "RS(" << n << "," << k << ")";
+  EXPECT_EQ(fixed, data);
 }
 
 INSTANTIATE_TEST_SUITE_P(CommonCodes, RsCodeProperty,

@@ -69,7 +69,8 @@ TEST(ChannelTest, NoisySourceDrawsFreshNoisePerPacket) {
   ChannelConfig cfg;
   cfg.snr_override_db = 20.0;
   Channel ch(p, p.tag_config(), cfg);
-  auto src = ch.source();
+  Rng noise_rng(cfg.noise_seed);
+  auto src = ch.source_with(noise_rng);
   const auto a = src({}, rt::ms(4.0));
   const auto b = src({}, rt::ms(4.0));
   bool any_diff = false;
