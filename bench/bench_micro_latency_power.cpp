@@ -13,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <utility>
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
@@ -38,7 +39,8 @@ struct Fixture {
         packet({}),
         rx(p.sample_rate_hz, 1) {
     rt::Rng rng(3);
-    packet = modulator.modulate(rng.bits(payload_bytes * 8));
+    rt::phy::ModulatorWorkspace mod_ws;
+    modulator.modulate_into(rng.bits(payload_bytes * 8), mod_ws, packet);
     rt::sim::ChannelConfig ch;
     ch.snr_override_db = 40.0;
     rt::sim::Channel channel(p, p.tag_config(), ch);
@@ -58,10 +60,21 @@ Fixture& fixture_4k() {
   return f;
 }
 
+/// Detects the preamble in `f.rx` and returns the detection together with
+/// the rotation-corrected copy of the waveform.
+std::pair<rt::phy::PreambleDetection, rt::sig::IqWaveform> detect_and_correct(const Fixture& f) {
+  rt::phy::PreambleWorkspace ws;
+  const auto det = f.demodulator.preamble().detect(f.rx, 4 * f.params.samples_per_slot(), ws);
+  rt::sig::IqWaveform corrected = f.rx;
+  f.demodulator.preamble().correct_in_place(corrected, det);
+  return {det, std::move(corrected)};
+}
+
 void BM_PreambleDetect(benchmark::State& state) {
   auto& f = fixture_8k();
+  rt::phy::PreambleWorkspace ws;
   for (auto _ : state) {
-    auto det = f.demodulator.preamble().detect(f.rx, 4 * f.params.samples_per_slot());
+    auto det = f.demodulator.preamble().detect(f.rx, 4 * f.params.samples_per_slot(), ws);
     benchmark::DoNotOptimize(det);
   }
 }
@@ -69,11 +82,12 @@ BENCHMARK(BM_PreambleDetect);
 
 void BM_OnlineTraining(benchmark::State& state) {
   auto& f = fixture_8k();
-  const auto det = f.demodulator.preamble().detect(f.rx, 4 * f.params.samples_per_slot());
-  const auto corrected = f.demodulator.preamble().correct(f.rx, det);
+  const auto [det, corrected] = detect_and_correct(f);
+  rt::phy::TrainingWorkspace ws;
+  rt::phy::PulseBank bank;
   for (auto _ : state) {
-    auto bank = rt::phy::OnlineTrainer::train(f.params, f.demodulator.offline_model(),
-                                              f.packet.layout, corrected, det.start_sample);
+    rt::phy::OnlineTrainer::train_into(f.params, f.demodulator.offline_model(), f.packet.layout,
+                                       corrected, det.start_sample, bank, ws);
     benchmark::DoNotOptimize(bank);
   }
 }
@@ -83,8 +97,12 @@ void BM_FullDemodulate(benchmark::State& state) {
   auto& f = state.range(0) == 8 ? fixture_8k() : fixture_4k();
   rt::phy::DemodOptions opts;
   opts.search_limit = 4 * f.params.samples_per_slot();
+  rt::phy::DemodWorkspace ws;
+  rt::phy::DemodResult res;
+  rt::sig::IqWaveform rx;
   for (auto _ : state) {
-    auto res = f.demodulator.demodulate(f.rx, f.packet.layout.payload_slots, opts);
+    rx = f.rx;  // demodulate_into corrects its input in place
+    f.demodulator.demodulate_into(rx, f.packet.layout.payload_slots, opts, ws, res);
     benchmark::DoNotOptimize(res);
   }
   state.counters["payload_air_ms"] =
@@ -101,10 +119,11 @@ void BM_EqualizerBranches(benchmark::State& state) {
   // One-time receiver prep outside the timed loop.
   static const auto prep = [] {
     auto& f = fixture_8k();
-    const auto det = f.demodulator.preamble().detect(f.rx, 4 * f.params.samples_per_slot());
-    auto corrected = f.demodulator.preamble().correct(f.rx, det);
-    auto bank = rt::phy::OnlineTrainer::train(f.params, f.demodulator.offline_model(),
-                                              f.packet.layout, corrected, det.start_sample);
+    auto [det, corrected] = detect_and_correct(f);
+    rt::phy::TrainingWorkspace ws;
+    rt::phy::PulseBank bank;
+    rt::phy::OnlineTrainer::train_into(f.params, f.demodulator.offline_model(), f.packet.layout,
+                                       corrected, det.start_sample, bank, ws);
     return std::tuple{det.start_sample, std::move(corrected), std::move(bank)};
   }();
   const auto& [start, corrected, bank] = prep;
@@ -113,8 +132,10 @@ void BM_EqualizerBranches(benchmark::State& state) {
       rt::phy::Demodulator::initial_payload_histories(params, base.packet.layout);
   const std::size_t payload_begin =
       start + base.packet.layout.payload_begin() * params.samples_per_slot();
+  rt::phy::EqualizerWorkspace ws;
+  rt::phy::EqualizerResult res;
   for (auto _ : state) {
-    auto res = eq.equalize(corrected, payload_begin, base.packet.layout.payload_slots, hist);
+    eq.equalize_into(corrected, payload_begin, base.packet.layout.payload_slots, hist, ws, res);
     benchmark::DoNotOptimize(res);
   }
 }
@@ -138,7 +159,9 @@ int main(int argc, char** argv) {
         std::pair{"4kbps", rt::phy::PhyParams::rate_4kbps()}}) {
     const rt::phy::Modulator mod(p);
     rt::Rng rng(1);
-    const auto pkt = mod.modulate(rng.bits(128 * 8));
+    rt::phy::ModulatorWorkspace mod_ws;
+    rt::phy::PacketSchedule pkt;
+    mod.modulate_into(rng.bits(128 * 8), mod_ws, pkt);
     const double slot_ms = p.slot_s * 1e3;
     const double rate_kbps = p.data_rate_bps() / 1000.0;
     report.add_value("preamble_air_ms", rate_kbps, p.preamble_slots * slot_ms);

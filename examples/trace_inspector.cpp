@@ -37,7 +37,9 @@ int main() {
     cfg.bits_per_axis = 1;
     rt::lcm::TagArray tag(cfg);
     const std::vector<rt::lcm::Firing> firing = {{ms(1.0), 0, 1, -1}};
-    const auto w = tag.synthesize(firing, p.sample_rate_hz, ms(10.0));
+    rt::lcm::SynthScratch scratch;
+    rt::sig::IqWaveform w;
+    tag.synthesize_into(firing, p.sample_rate_hz, ms(10.0), scratch, w);
     rt::sim::write_trace_csv("pulse_response.csv", w);
     // Console sketch of the envelope.
     std::printf("LCM pulse response (I axis, 0.5 ms drive at t=1 ms):\n");
@@ -54,7 +56,9 @@ int main() {
   const rt::phy::Modulator mod(p);
   rt::Rng rng(7);
   const auto bits = rng.bits(96);
-  const auto pkt = mod.modulate(bits);
+  rt::phy::ModulatorWorkspace mod_ws;
+  rt::phy::PacketSchedule pkt;
+  mod.modulate_into(bits, mod_ws, pkt);
 
   rt::sim::ChannelConfig ch;
   ch.snr_override_db = 30.0;
@@ -68,12 +72,14 @@ int main() {
               rx.size(), rx.duration_s() * 1e3);
 
   // 3. Replay: read the trace back and demodulate it.
-  const auto replayed = rt::sim::read_trace_csv("packet_trace.csv");
+  auto replayed = rt::sim::read_trace_csv("packet_trace.csv");
   const auto offline = rt::sim::train_offline_model(p, p.tag_config());
   const rt::phy::Demodulator demod(p, offline);
   rt::phy::DemodOptions opts;
   opts.search_limit = 4 * p.samples_per_slot();
-  const auto res = demod.demodulate(replayed, pkt.layout.payload_slots, opts);
+  rt::phy::DemodWorkspace demod_ws;
+  rt::phy::DemodResult res;
+  demod.demodulate_into(replayed, pkt.layout.payload_slots, opts, demod_ws, res);
   if (!res.preamble_found) {
     std::printf("replay: preamble not found\n");
     return 1;

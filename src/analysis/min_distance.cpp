@@ -54,14 +54,12 @@ MinDistanceResult min_distance(const LcmTable& table, const Scheme& scheme,
         w1[i] ^= 1;
         const auto wave1 = emulate(table, scheme.encode(w1), sample_rate_hz);
         best = std::min(best, distance_sq_between(wbase, wave1, k));
-        if (options.neighbour_span >= 2) {
-          const int window = 16;  // nearby-symbol interactions only
-          for (int j = i + 1; j < std::min(k, i + window); ++j) {
-            auto w2 = w1;
-            w2[j] ^= 1;
-            const auto wave2 = emulate(table, scheme.encode(w2), sample_rate_hz);
-            best = std::min(best, distance_sq_between(wbase, wave2, k));
-          }
+        const int window = 16;  // nearby-symbol interactions only
+        for (int j = i + 1; j < std::min(k, i + window); ++j) {
+          auto w2 = w1;
+          w2[j] ^= 1;
+          const auto wave2 = emulate(table, scheme.encode(w2), sample_rate_hz);
+          best = std::min(best, distance_sq_between(wbase, wave2, k));
         }
       }
     }

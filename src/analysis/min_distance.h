@@ -20,12 +20,10 @@ namespace rt::analysis {
 
 struct MinDistanceOptions {
   /// Exhaustive pair enumeration up to this many data bits (2^k words);
-  /// beyond it the neighbour search below is used.
+  /// beyond it a neighbour search compares words differing in one or two
+  /// nearby positions (the minimum distance of an ISI constellation is
+  /// realized by low-Hamming-weight differences).
   int exhaustive_bit_limit = 10;
-  /// Neighbour search: compare words differing in 1..this many symbol
-  /// positions (the minimum distance of an ISI constellation is realized
-  /// by low-Hamming-weight differences).
-  int neighbour_span = 2;
   /// Random restarts for the neighbour search.
   int random_words = 8;
   std::uint64_t seed = 1;

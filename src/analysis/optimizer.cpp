@@ -21,7 +21,7 @@ OptimizerResult optimize_parameters(const LcmTable& table, double target_rate_bp
     if (sps < 1) continue;
     const double t = sps * grid_slot;
     if (std::abs(t - t_exact) / t_exact > 0.01) continue;  // rate not representable
-    if (t < options.min_slot_s || t > options.max_slot_s) continue;
+    if (t < kMinSlotS || t > kMaxSlotS) continue;
     for (const int l : options.dsm_orders) {
       const double w = static_cast<double>(l) * t;
       if (w < options.min_symbol_duration_s) continue;  // ISI would exceed the template span

@@ -22,11 +22,13 @@ struct GridPoint {
   double threshold_db_rel = 0.0;  ///< relative to the grid's best D
 };
 
+/// Slot durations T outside [kMinSlotS, kMaxSlotS] are not searched.
+inline constexpr double kMinSlotS = 0.1e-3;
+inline constexpr double kMaxSlotS = 8.0e-3;
+
 struct OptimizerOptions {
   std::vector<int> dsm_orders = {1, 2, 4, 8, 16};
   std::vector<int> bits_per_axis = {1, 2, 3, 4};
-  double min_slot_s = 0.1e-3;
-  double max_slot_s = 8.0e-3;
   /// W = L*T must cover at least this much discharge time or the scheme is
   /// dominated by uncontrolled ISI; points violating it are skipped.
   double min_symbol_duration_s = 3.0e-3;

@@ -86,9 +86,6 @@ class CodedFrameCodec {
     }
   }
 
-  [[nodiscard]] const CodedFrameConfig& config() const { return cfg_; }
-  [[nodiscard]] double code_rate() const { return cfg_.code.rate(); }
-
   /// Message bits carried inside the code: payload plus the
   /// CRC-16/CCITT-FALSE (big-endian) appended before coding.
   [[nodiscard]] static std::size_t message_bits(std::size_t payload_bits) {

@@ -9,9 +9,9 @@
 // convention: positive = bit 0, as exported by phy::Constellation::
 // unmap_soft_into); hard-decision decoding maps bits to +/-1 LLRs and is
 // bit-identical to a classic Hamming-metric Viterbi, tie-breaking
-// included. The `_into` variants run over a caller-owned flat workspace
-// (no per-call heap traffic in steady state -- rt_check C2 scans them);
-// the allocating encode()/decode() wrappers remain for cold callers.
+// included. Every entry point writes into caller-owned buffers and runs
+// over a flat workspace (no per-call heap traffic in steady state --
+// rt_check C2 scans them).
 #pragma once
 
 #include <cstdint>
@@ -45,7 +45,6 @@ class ConvolutionalCode {
   }
 
   [[nodiscard]] int constraint_length() const { return k_; }
-  [[nodiscard]] double code_rate() const { return 0.5; }
 
   /// Coded length for a message: 2 * (bits + K - 1) including the flush.
   [[nodiscard]] std::size_t coded_bits(std::size_t message_bits) const {
@@ -73,16 +72,8 @@ class ConvolutionalCode {
     for (int i = 0; i < k_ - 1; ++i) emit(0);
   }
 
-  /// Encodes `bits` and appends (K-1) flush zeros; output length is
-  /// 2 * (bits.size() + K - 1).
-  [[nodiscard]] std::vector<std::uint8_t> encode(std::span<const std::uint8_t> bits) const {
-    std::vector<std::uint8_t> out;
-    encode_into(bits, out);
-    return out;
-  }
-
   /// Soft-decision Viterbi over per-bit LLRs (positive = bit 0); expects
-  /// encode() framing (flushed trellis). Correlation branch metric: a path
+  /// encode_into() framing (flushed trellis). Correlation branch metric: a path
   /// asserting coded bit c at LLR l pays (c ? l : -l), so disagreeing with
   /// a confident bit is expensive and an erased bit (l = 0) is free.
   /// Writes message_bits() decoded bits into `out`.
@@ -139,15 +130,6 @@ class ConvolutionalCode {
     for (std::size_t i = 0; i < coded.size(); ++i)
       ws.hard_llrs[i] = (coded[i] & 1U) ? -1.0F : 1.0F;
     decode_soft_into(ws.hard_llrs, ws, out);
-  }
-
-  /// Hard-decision Viterbi decode; expects encode() framing (flushed
-  /// trellis). Returns the message bits.
-  [[nodiscard]] std::vector<std::uint8_t> decode(std::span<const std::uint8_t> coded) const {
-    ConvWorkspace ws;
-    std::vector<std::uint8_t> out;
-    decode_into(coded, ws, out);
-    return out;
   }
 
  private:

@@ -48,23 +48,6 @@ class BlockInterleaver {
     }
   }
 
-  /// Writes row-wise, reads column-wise. Input must be a whole number of
-  /// blocks.
-  template <typename T>
-  [[nodiscard]] std::vector<T> interleave(std::span<const T> in) const {
-    std::vector<T> out;
-    interleave_into(in, out);
-    return out;
-  }
-
-  /// Inverse permutation.
-  template <typename T>
-  [[nodiscard]] std::vector<T> deinterleave(std::span<const T> in) const {
-    std::vector<T> out;
-    deinterleave_into(in, out);
-    return out;
-  }
-
   /// Longest burst (in symbols) guaranteed to be spread so that no more
   /// than one corrupted symbol lands in any row.
   [[nodiscard]] std::size_t burst_tolerance() const { return rows_; }

@@ -61,6 +61,10 @@ enum class RatePreset { k1kbps, k4kbps, k8kbps, k16kbps, k32kbps };
   throw rt::PreconditionError("unknown rate preset");
 }
 
+/// Tag hardware realism every Link simulates (paper Fig. 11b): 3% pixel
+/// gain spread, 2% time-constant spread, 1 deg polarizer attachment error.
+inline constexpr rt::lcm::Heterogeneity kTagHeterogeneity{0.03, 0.02, rt::deg_to_rad(1.0)};
+
 struct LinkConfig {
   RatePreset rate = RatePreset::k8kbps;
   /// Full PHY control when the presets are not enough (overrides `rate`).
@@ -73,11 +77,6 @@ struct LinkConfig {
   double ambient_lux = 200.0;
   /// Direct SNR control for emulation studies (bypasses the link budget).
   std::optional<double> snr_override_db;
-
-  // Tag hardware realism.
-  double pixel_gain_spread = 0.03;
-  double pixel_timing_spread = 0.02;
-  double polarizer_error_deg = 1.0;
 
   /// Optional Reed-Solomon outer code (n, k); {0, 0} = uncoded.
   std::size_t rs_n = 0;
@@ -143,8 +142,7 @@ class Link {
 
   [[nodiscard]] static rt::lcm::TagConfig make_tag(const LinkConfig& c) {
     auto tag = make_phy(c).tag_config();
-    tag.heterogeneity = {c.pixel_gain_spread, c.pixel_timing_spread,
-                         rt::deg_to_rad(c.polarizer_error_deg)};
+    tag.heterogeneity = kTagHeterogeneity;
     tag.seed = c.seed;
     return tag;
   }

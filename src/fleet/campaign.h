@@ -54,6 +54,16 @@ inline constexpr std::uint64_t kDiscoveryStreamBase = std::uint64_t{1} << 20;
 inline constexpr std::uint64_t kDataStreamBase = std::uint64_t{1} << 21;
 }  // namespace detail
 
+/// Discovery gives up (and the campaign throws) after this many ALOHA
+/// rounds; every round must fit the discovery seed-stream window.
+inline constexpr int kDiscoveryMaxRounds = 4096;
+static_assert(static_cast<std::uint64_t>(kDiscoveryMaxRounds) <
+                  detail::kDataStreamBase - detail::kDiscoveryStreamBase,
+              "discovery rounds outside the discovery seed-stream window");
+
+/// Reader-side SNR-estimate jitter (dB) applied to each round's estimate.
+inline constexpr double kEstimateNoiseDb = 0.8;
+
 struct FleetConfig {
   DeploymentConfig deployment{};
   /// true: colored schedule, zero cross-cell collisions, 1/num_colors
@@ -63,10 +73,7 @@ struct FleetConfig {
   int epochs = 4;                 ///< controller merge points
   int rounds_per_epoch = 25;      ///< inventory rounds between merges
   int batch_rounds = 8;           ///< rounds per pool task
-  int discovery_frame_slots = 0;  ///< 0 = adaptive: max(remaining, 2)
-  int discovery_max_rounds = 4096;
   std::size_t payload_bytes = 16;  ///< uplink payload per inventory slot
-  double estimate_noise_db = 0.8;  ///< reader-side SNR-estimate jitter (PR 5)
   mac::RateControllerConfig controller{};
   unsigned threads = 1;  ///< batch-phase workers (1 = serial reference)
   std::uint64_t seed = 2026;
@@ -122,10 +129,6 @@ struct FleetResult {
   RT_ENSURE(cfg.rounds_per_epoch >= 1, "fleet campaign needs at least one round per epoch");
   RT_ENSURE(cfg.batch_rounds >= 1, "fleet batch_rounds must be positive");
   RT_ENSURE(cfg.payload_bytes >= 1, "fleet payload cannot be empty");
-  RT_ENSURE(cfg.discovery_max_rounds >= 1 &&
-                static_cast<std::uint64_t>(cfg.discovery_max_rounds) <
-                    detail::kDataStreamBase - detail::kDiscoveryStreamBase,
-            "discovery_max_rounds outside the discovery seed-stream window");
   RT_ENSURE(static_cast<std::uint64_t>(cfg.epochs) *
                     static_cast<std::uint64_t>(cfg.rounds_per_epoch) <
                 detail::kDataStreamBase,
@@ -185,16 +188,14 @@ struct FleetResult {
           std::vector<std::uint32_t> slot_of;
           std::vector<std::uint32_t> occupancy;
           int round = 0;
-          while (!remaining.empty() && round < cfg.discovery_max_rounds) {
+          while (!remaining.empty() && round < kDiscoveryMaxRounds) {
             ++round;
             RT_OBS_COUNT(kMacDiscoveryRounds, 1);
             Rng rng(split_seed(cfg.seed, static_cast<std::uint64_t>(r),
                                detail::kDiscoveryStreamBase +
                                    static_cast<std::uint64_t>(round)));
-            const std::size_t frame =
-                cfg.discovery_frame_slots > 0
-                    ? static_cast<std::size_t>(cfg.discovery_frame_slots)
-                    : std::max<std::size_t>(remaining.size(), 2);
+            // Adaptive frame: one slot per remaining tag, at least two.
+            const std::size_t frame = std::max<std::size_t>(remaining.size(), 2);
             occupancy.assign(frame, 0);
             slot_of.resize(remaining.size());
             for (std::size_t i = 0; i < remaining.size(); ++i) {
@@ -218,7 +219,7 @@ struct FleetResult {
               if (occupancy[s] > 1) ++disc[r].collision_slots;
             remaining.swap(next);
           }
-          RT_ENSURE(remaining.empty(), "fleet discovery exceeded discovery_max_rounds");
+          RT_ENSURE(remaining.empty(), "fleet discovery exceeded kDiscoveryMaxRounds");
           disc[r].rounds = round;
         });
       });
@@ -304,7 +305,7 @@ struct FleetResult {
               RT_OBS_COUNT(kFleetCrossCollisions, ro.cross);
               RT_OBS_COUNT(kFleetPacketsDelivered, ro.delivered);
               RT_OBS_COUNT(kFleetPacketsLost, ro.attempted - ro.delivered);
-              ro.snr_estimate_db = worst_snr[r] + rng.gaussian(0.0, cfg.estimate_noise_db);
+              ro.snr_estimate_db = worst_snr[r] + rng.gaussian(0.0, kEstimateNoiseDb);
               round_out[r][static_cast<std::size_t>(g)] = ro;
             }
           });

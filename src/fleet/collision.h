@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bitio.h"
 #include "common/error.h"
 #include "common/units.h"
 #include "mac/closed_loop.h"
@@ -29,6 +30,10 @@
 
 namespace rt::fleet {
 
+/// The interferer sits 2 m out at a 30 deg roll. Both tags are ideal
+/// (PhyParams::tag_config() carries no pixel heterogeneity).
+inline constexpr double kInterfererRollRad = deg_to_rad(30.0);
+
 struct CollisionStudyConfig {
   /// Probe-grade PHY (mac::probe_params): decodes cleanly at the study
   /// SNR, so measured degradation is the interferer's doing.
@@ -37,8 +42,6 @@ struct CollisionStudyConfig {
   int trials = 4;  ///< payload/noise realizations per gain point
   std::size_t payload_bits = 64;
   double snr_db = 35.0;
-  double interferer_roll_rad = deg_to_rad(30.0);
-  std::uint64_t interferer_tag_seed = 77;  ///< pixel-heterogeneity stream
   unsigned threads = 1;
   std::uint64_t seed = 99;
 };
@@ -68,9 +71,13 @@ struct CollisionStudyResult {
   RT_ENSURE(cfg.trials >= 1, "collision study needs at least one trial");
   RT_ENSURE(cfg.payload_bits >= 1, "collision study payload cannot be empty");
 
-  // One offline model shared by every trial's demodulator (the same
-  // discipline as the BER sweeps: the offline step is gain-independent).
-  const auto offline = sim::train_offline_model(cfg.params, cfg.params.tag_config());
+  // One modulator and one demodulator (with its offline model) serve every
+  // trial: both are const stage objects, and each task brings its own
+  // workspaces (the same discipline as the BER sweeps: the offline step is
+  // gain-independent).
+  const phy::Modulator mod(cfg.params);
+  const phy::Demodulator demod(cfg.params,
+                               sim::train_offline_model(cfg.params, cfg.params.tag_config()));
 
   CollisionStudyResult out;
   out.points.resize(cfg.interferer_gains.size());
@@ -82,7 +89,7 @@ struct CollisionStudyResult {
   tasks.reserve(cfg.interferer_gains.size() * static_cast<std::size_t>(cfg.trials));
   for (std::size_t i = 0; i < cfg.interferer_gains.size(); ++i) {
     for (int t = 0; t < cfg.trials; ++t) {
-      tasks.push_back([&slots, &cfg, &offline, i, t] {
+      tasks.push_back([&slots, &cfg, &mod, &demod, i, t] {
         return runtime::record_batch([&] {
           RT_TRACE_SPAN("sweep_batch");
           RT_OBS_COUNT(kSweepBatches, 1);
@@ -96,22 +103,23 @@ struct CollisionStudyResult {
           Rng interferer_rng(sim::collision_slot_seed(cfg.seed, gid, 1));
           const auto bits_a = wanted_rng.bits(cfg.payload_bits);
           const auto bits_b = interferer_rng.bits(cfg.payload_bits);
-          const phy::Modulator mod(p);
-          const auto pkt_a = mod.modulate(bits_a);
-          const auto pkt_b = mod.modulate(bits_b);
+          phy::ModulatorWorkspace mod_ws;
+          phy::PacketSchedule pkt_a;
+          phy::PacketSchedule pkt_b;
+          mod.modulate_into(bits_a, mod_ws, pkt_a);
+          mod.modulate_into(bits_b, mod_ws, pkt_b);
           sim::ConcurrentTag wanted{p.tag_config(), sim::Pose{}, 1.0, pkt_a.firings};
           sim::ConcurrentTag interferer{p.tag_config(),
-                                        sim::Pose{2.0, cfg.interferer_roll_rad, 0.0},
+                                        sim::Pose{2.0, kInterfererRollRad, 0.0},
                                         cfg.interferer_gains[i], pkt_b.firings};
-          interferer.tag.seed = cfg.interferer_tag_seed;
-          const auto rx = sim::superimpose_tags(p, {wanted, interferer},
-                                                pkt_a.duration_s + p.symbol_duration_s(),
-                                                cfg.snr_db,
-                                                sim::collision_slot_seed(cfg.seed, gid, 2));
-          const phy::Demodulator demod(p, offline);
+          auto rx = sim::superimpose_tags(p, {wanted, interferer},
+                                          pkt_a.duration_s + p.symbol_duration_s(), cfg.snr_db,
+                                          sim::collision_slot_seed(cfg.seed, gid, 2));
           phy::DemodOptions opts;
           opts.search_limit = 2 * p.samples_per_slot();
-          const auto res = demod.demodulate(rx, pkt_a.layout.payload_slots, opts);
+          phy::DemodWorkspace demod_ws;
+          phy::DemodResult res;
+          demod.demodulate_into(rx, pkt_a.layout.payload_slots, opts, demod_ws, res);
           sim::LinkStats s;
           s.packets = 1;
           s.total_bits = bits_a.size();
@@ -119,8 +127,7 @@ struct CollisionStudyResult {
             s.preamble_failures = 1;
             s.bit_errors = bits_a.size();  // a lost preamble loses the packet
           } else {
-            for (std::size_t b = 0; b < bits_a.size(); ++b)
-              s.bit_errors += res.bits[b] != bits_a[b] ? 1 : 0;
+            s.bit_errors = hamming_distance(std::span(res.bits).first(bits_a.size()), bits_a);
           }
           slots[i][static_cast<std::size_t>(t)] = s;
         });

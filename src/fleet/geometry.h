@@ -26,17 +26,23 @@
 
 namespace rt::fleet {
 
+/// Random placement puts each tag this far (m) from the corridor line,
+/// uniformly in [kMinRangeM, kMaxRangeM].
+inline constexpr double kMinRangeM = 0.8;
+inline constexpr double kMaxRangeM = 3.5;
+static_assert(kMinRangeM > 0.0 && kMaxRangeM >= kMinRangeM,
+              "tag placement range must be positive and ordered");
+
+/// A reader hears a tag at or above this SNR (wide-beam 14 dB ~= the
+/// 4.3 m edge of the Fig. 18c study); below it the tag is invisible to
+/// that reader, above it the tag both registers and interferes.
+inline constexpr double kHearingFloorDb = 14.0;
+
 struct DeploymentConfig {
   int readers = 4;
   int tags = 1000;
   double reader_spacing_m = 6.0;  ///< reader pitch along the corridor line
-  double min_range_m = 0.8;       ///< closest tag-to-corridor placement radius
-  double max_range_m = 3.5;       ///< farthest tag-to-corridor placement radius
   optics::LinkBudget budget = optics::LinkBudget::wide_beam();
-  /// A reader hears a tag at or above this SNR (wide-beam 14 dB ~= the
-  /// 4.3 m edge of the Fig. 18c study); below it the tag is invisible to
-  /// that reader, above it the tag both registers and interferes.
-  double hearing_floor_db = 14.0;
 
   friend bool operator==(const DeploymentConfig&, const DeploymentConfig&) = default;
 };
@@ -101,7 +107,7 @@ inline void assign_shards(Deployment& d) {
     }
     d.shards[t.home_reader].push_back(narrow_cast<std::uint32_t>(id));
     for (std::size_t r = 0; r < readers; ++r) {
-      if (d.snr_db_at(t, r) >= d.cfg.hearing_floor_db) {
+      if (d.snr_db_at(t, r) >= kHearingFloorDb) {
         ++t.heard_by;
         ++d.audible[r][t.home_reader];
       }
@@ -137,18 +143,16 @@ inline void assign_shards(Deployment& d) {
 /// site from the disjoint stream rt::split_seed(seed, id), making the
 /// whole deployment a pure function of (cfg, seed). Tags land uniformly
 /// along the corridor span with a uniform lateral offset in
-/// [min_range_m, max_range_m] on either side.
+/// [kMinRangeM, kMaxRangeM] on either side.
 [[nodiscard]] inline Deployment place_fleet(const DeploymentConfig& cfg, std::uint64_t seed) {
   RT_ENSURE(cfg.readers >= 1, "fleet needs at least one reader");
   RT_ENSURE(cfg.tags >= 1, "fleet needs at least one tag");
-  RT_ENSURE(cfg.min_range_m > 0.0 && cfg.max_range_m >= cfg.min_range_m,
-            "tag placement range must be positive and ordered");
   std::vector<std::pair<double, double>> sites(static_cast<std::size_t>(cfg.tags));
   const double span = static_cast<double>(cfg.readers - 1) * cfg.reader_spacing_m;
   for (std::size_t id = 0; id < sites.size(); ++id) {
     Rng rng(split_seed(seed, static_cast<std::uint64_t>(id)));
     const double x = rng.uniform(-cfg.reader_spacing_m / 2.0, span + cfg.reader_spacing_m / 2.0);
-    const double y = rng.uniform(cfg.min_range_m, cfg.max_range_m);
+    const double y = rng.uniform(kMinRangeM, kMaxRangeM);
     sites[id] = {x, rng.bernoulli() ? y : -y};
   }
   return place_fleet(cfg, sites);

@@ -95,14 +95,6 @@ void TagArray::apply_level(bool is_i, int module, int level) {
   }
 }
 
-sig::IqWaveform TagArray::synthesize(std::span<const Firing> schedule, double fs,
-                                     double duration_s) {
-  SynthScratch scratch;
-  sig::IqWaveform out;
-  synthesize_into(schedule, fs, duration_s, scratch, out);
-  return out;
-}
-
 void TagArray::synthesize_into(std::span<const Firing> schedule, double fs, double duration_s,
                                SynthScratch& scratch, sig::IqWaveform& out) {
   RT_TRACE_SPAN("lc_synthesize");
@@ -208,6 +200,21 @@ double TagArray::drive_energy(std::span<const Firing> schedule) const {
     if (f.level_q > 0) total += static_cast<double>(f.level_q) / max_level;
   }
   return total * cfg_.charge_s;
+}
+
+std::vector<sig::Complex> modulated_response(const TagConfig& config,
+                                             std::span<const Firing> schedule, double fs,
+                                             double duration_s) {
+  TagArray tag(config);
+  SynthScratch scratch;
+  sig::IqWaveform active;
+  sig::IqWaveform idle;
+  tag.synthesize_into(schedule, fs, duration_s, scratch, active);
+  tag.reset();
+  tag.synthesize_into({}, fs, duration_s, scratch, idle);
+  std::vector<sig::Complex> out(active.size());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = active[i] - idle[i];
+  return out;
 }
 
 }  // namespace rt::lcm

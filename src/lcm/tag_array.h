@@ -12,10 +12,10 @@
 // (p_I(t) = j p_Q(t)).
 //
 // The array is a time-stepped simulator: the PHY modulator schedules
-// firings (module + drive level + time); synthesize() integrates every LC
-// cell and emits the complex two-PDR baseband waveform the reader would
-// see at unit link gain. Roll misalignment, link gain, noise and frontend
-// effects are applied downstream (sim / frontend layers).
+// firings (module + drive level + time); synthesize_into() integrates
+// every LC cell and emits the complex two-PDR baseband waveform the reader
+// would see at unit link gain. Roll misalignment, link gain, noise and
+// frontend effects are applied downstream (sim / frontend layers).
 #pragma once
 
 #include <cstdint>
@@ -106,17 +106,14 @@ class TagArray {
   explicit TagArray(const TagConfig& config);
 
   /// Runs the LC simulation over [0, duration_s) with the given firing
-  /// schedule (must be sorted by time) and returns the complex baseband
-  /// waveform at sample rate `fs`. The waveform includes the static bias of
-  /// relaxed pixels (a DC term the receiver regression removes).
-  [[nodiscard]] sig::IqWaveform synthesize(std::span<const Firing> schedule, double fs,
-                                           double duration_s);
-
-  /// Workspace form of synthesize(): writes the waveform into `out`
-  /// (capacity reused) and expands events into `scratch`. Starts from the
-  /// tag's current LC state -- callers reusing one TagArray across packets
-  /// must reset() first (reset() provably restores the as-constructed
-  /// state, so reset+synthesize_into is bit-identical to a fresh tag).
+  /// schedule (must be sorted by time) and writes the complex baseband
+  /// waveform at sample rate `fs` into `out` (capacity reused), expanding
+  /// events into `scratch`. The waveform includes the static bias of
+  /// relaxed pixels (a DC term the receiver regression removes). Starts
+  /// from the tag's current LC state -- callers reusing one TagArray
+  /// across packets must reset() first (reset() provably restores the
+  /// as-constructed state, so reset+synthesize_into is bit-identical to a
+  /// fresh tag).
   void synthesize_into(std::span<const Firing> schedule, double fs, double duration_s,
                        SynthScratch& scratch, sig::IqWaveform& out);
 
@@ -171,5 +168,13 @@ class TagArray {
   std::vector<double> module_gain_;
   PixelBank bank_;
 };
+
+/// The modulated part of a tag's response to `schedule`: the synthesized
+/// waveform minus the idle (never-fired) baseline of the same tag, which
+/// removes the static relaxed-pixel bias. Rotation-free references and the
+/// SNR reference power are built from it.
+[[nodiscard]] std::vector<sig::Complex> modulated_response(const TagConfig& config,
+                                                          std::span<const Firing> schedule,
+                                                          double fs, double duration_s);
 
 }  // namespace rt::lcm

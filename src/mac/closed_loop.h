@@ -48,14 +48,17 @@ namespace rt::mac {
   return p;
 }
 
+/// Payload of each probe packet, and the payload every goodput figure of
+/// the study is scored at.
+inline constexpr std::size_t kProbePayloadBytes = 8;
+inline constexpr std::size_t kGoodputPayloadBytes = 128;
+
 struct ClosedLoopConfig {
   optics::LinkBudget budget = optics::LinkBudget::wide_beam();
   /// Study distances (m); defaults span the wide-beam 65..14 dB range.
   std::vector<double> distances_m = {1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.3};
   phy::PhyParams probe = probe_params();
   int probe_packets = 12;            ///< probe burst length per distance
-  std::size_t probe_payload_bytes = 8;
-  std::size_t goodput_payload_bytes = 128;
   RateControllerConfig controller{};
   unsigned threads = 1;              ///< probe-phase workers (1 = serial)
   std::uint64_t seed = 2026;
@@ -137,7 +140,7 @@ struct ClosedLoopResult {
         RT_TRACE_SPAN("closed_loop_probe");
         for (int p = 0; p < cfg.probe_packets; ++p) {
           const auto r =
-              sim.run_packet(static_cast<std::uint64_t>(p), cfg.probe_payload_bytes, ws);
+              sim.run_packet(static_cast<std::uint64_t>(p), kProbePayloadBytes, ws);
           probes[i][static_cast<std::size_t>(p)] = {r.preamble_found, r.snr_estimate_db};
         }
       }
@@ -162,7 +165,7 @@ struct ClosedLoopResult {
             RT_TRACE_SPAN("closed_loop_probe");
             for (int p = begin; p < end; ++p) {
               const auto r =
-                  sim->run_packet(static_cast<std::uint64_t>(p), cfg.probe_payload_bytes, ws);
+                  sim->run_packet(static_cast<std::uint64_t>(p), kProbePayloadBytes, ws);
               probes[i][static_cast<std::size_t>(p)] = {r.preamble_found, r.snr_estimate_db};
             }
           }
@@ -206,11 +209,11 @@ struct ClosedLoopResult {
       // All three loops are scored at the TRUE SNR: a mis-estimate that
       // assigns too fast an option pays for it in delivery probability.
       pt.goodput_estimated_bps = model.goodput_bps(table.option(pt.estimated_index),
-                                                   pt.snr_true_db, cfg.goodput_payload_bytes);
+                                                   pt.snr_true_db, kGoodputPayloadBytes);
       pt.goodput_oracle_bps = model.goodput_bps(table.option(pt.oracle_index), pt.snr_true_db,
-                                                cfg.goodput_payload_bytes);
+                                                kGoodputPayloadBytes);
       pt.goodput_baseline_bps = model.goodput_bps(table.option(baseline_index), pt.snr_true_db,
-                                                  cfg.goodput_payload_bytes);
+                                                  kGoodputPayloadBytes);
     }
   }
   out.metrics.merge(control_rec.metrics);

@@ -73,16 +73,9 @@ class Constellation {
     return s;
   }
 
-  /// Inverse of map().
-  [[nodiscard]] std::vector<std::uint8_t> unmap(const SymbolLevels& s) const {
-    std::vector<std::uint8_t> bits;
-    bits.reserve(static_cast<std::size_t>(bits_per_symbol()));
-    unmap_into(s, bits);
-    return bits;
-  }
-
-  /// Appends the unmapped bits of `s` to a caller-owned buffer (no
-  /// allocation once the buffer has capacity).
+  /// Inverse of map(): appends the bits of `s` (MSB first, I bits then Q
+  /// bits) to a caller-owned buffer (no allocation once the buffer has
+  /// capacity).
   void unmap_into(const SymbolLevels& s, std::vector<std::uint8_t>& bits) const {
     const auto push_level = [&](int level) {
       RT_ENSURE(level >= 0 && level < levels_per_axis(), "level out of range");

@@ -65,15 +65,6 @@ std::vector<unsigned> Demodulator::initial_payload_histories(const PhyParams& p,
   return hist;
 }
 
-DemodResult Demodulator::demodulate(const sig::IqWaveform& rx, int payload_slots,
-                                    const DemodOptions& options) const {
-  sig::IqWaveform scratch_rx = rx;
-  DemodWorkspace ws;
-  DemodResult out;
-  demodulate_into(scratch_rx, payload_slots, options, ws, out);
-  return out;
-}
-
 void Demodulator::demodulate_into(sig::IqWaveform& rx, int payload_slots,
                                   const DemodOptions& options, DemodWorkspace& ws,
                                   DemodResult& out) const {

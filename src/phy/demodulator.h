@@ -50,14 +50,11 @@ class Demodulator {
  public:
   Demodulator(const PhyParams& params, OfflineModel offline_model);
 
-  /// Demodulates one packet of `payload_slots` slots from `rx`.
-  [[nodiscard]] DemodResult demodulate(const sig::IqWaveform& rx, int payload_slots,
-                                       const DemodOptions& options = {}) const;
-
-  /// Workspace form of demodulate(): `rx` is rotation-corrected IN PLACE
-  /// (the caller's waveform buffer doubles as the corrected-signal stage),
-  /// and `out.bits` is rebuilt inside its existing capacity. Bit-identical
-  /// to demodulate() on the same input.
+  /// Demodulates one packet of `payload_slots` slots from `rx`. `rx` is
+  /// rotation-corrected IN PLACE (the caller's waveform buffer doubles as
+  /// the corrected-signal stage), so a caller that needs the received
+  /// samples again must demodulate a copy; `out` is rebuilt inside its
+  /// existing capacity.
   void demodulate_into(sig::IqWaveform& rx, int payload_slots, const DemodOptions& options,
                        DemodWorkspace& ws, DemodResult& out) const;
 

@@ -56,15 +56,6 @@ DfeEqualizer::DfeEqualizer(const PhyParams& params, const PulseBank& bank)
   RT_ENSURE(bank.pulse_len() == p_.samples_per_symbol(), "pulse bank template length mismatch");
 }
 
-EqualizerResult DfeEqualizer::equalize(const sig::IqWaveform& rx, std::size_t payload_begin,
-                                       int n_slots,
-                                       std::span<const unsigned> initial_histories) const {
-  EqualizerWorkspace ws;
-  EqualizerResult out;
-  equalize_into(rx, payload_begin, n_slots, initial_histories, ws, out);
-  return out;
-}
-
 void DfeEqualizer::equalize_into(const sig::IqWaveform& rx, std::size_t payload_begin,
                                  int n_slots, std::span<const unsigned> initial_histories,
                                  EqualizerWorkspace& ws, EqualizerResult& out,

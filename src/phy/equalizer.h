@@ -64,20 +64,15 @@ class DfeEqualizer {
   DfeEqualizer(const PhyParams& params, const PulseBank& bank);
 
   /// Equalizes `n_slots` payload slots from `rx` starting at sample index
-  /// `payload_begin`. `initial_histories` holds the V-bit firing history
-  /// of each *pixel* (module-major: I modules 0..L-1 then Q modules, and
-  /// within a module the weight pixels MSB-first) at the first payload
-  /// slot.
-  [[nodiscard]] EqualizerResult equalize(const sig::IqWaveform& rx, std::size_t payload_begin,
-                                         int n_slots,
-                                         std::span<const unsigned> initial_histories) const;
-
-  /// Workspace form of equalize(): writes the winning decision sequence
-  /// into `out`, reusing the workspace pools. Bit-identical to equalize().
-  /// With `soft_output`, each surviving branch additionally carries max-
-  /// log-MAP per-bit LLRs (min-distance margins over this slot's candidate
-  /// scores, conditioned on the branch's own decision prefix), and the
-  /// winner's LLR stream is exported in `out.soft_bits`.
+  /// `payload_begin` and writes the winning decision sequence into `out`,
+  /// reusing the workspace pools. `initial_histories` holds the V-bit
+  /// firing history of each *pixel* (module-major: I modules 0..L-1 then
+  /// Q modules, and within a module the weight pixels MSB-first) at the
+  /// first payload slot. With `soft_output`, each surviving branch
+  /// additionally carries max-log-MAP per-bit LLRs (min-distance margins
+  /// over this slot's candidate scores, conditioned on the branch's own
+  /// decision prefix), and the winner's LLR stream is exported in
+  /// `out.soft_bits`.
   void equalize_into(const sig::IqWaveform& rx, std::size_t payload_begin, int n_slots,
                      std::span<const unsigned> initial_histories, EqualizerWorkspace& ws,
                      EqualizerResult& out, bool soft_output = false) const;

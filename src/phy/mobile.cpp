@@ -48,7 +48,7 @@ std::vector<lcm::Firing> MobileModulator::sync_firings(const PhyParams& p, int f
 MobilePacket MobileModulator::modulate(std::span<const std::uint8_t> payload_bits,
                                        bool scramble) const {
   std::vector<std::uint8_t> bits(payload_bits.begin(), payload_bits.end());
-  if (scramble) bits = scrambler_.apply(bits);
+  if (scramble) scrambler_.apply_in_place(bits);
   const int bps = constellation_.bits_per_symbol();
   const std::size_t group_bits =
       static_cast<std::size_t>(p_.dsm_order) * static_cast<std::size_t>(bps);
@@ -109,35 +109,35 @@ MobileDemodulator::MobileDemodulator(const PhyParams& params, const MobileConfig
   cfg_.validate(p_);
   // Rotation-free sync reference from the ideal tag (same procedure as the
   // preamble reference).
-  lcm::TagArray ideal(p_.tag_config());
   const auto firings = MobileModulator::sync_firings(p_, 0, cfg_.sync_slots);
   const double duration = (cfg_.sync_slots + p_.dsm_order) * p_.slot_s;
-  const auto active = ideal.synthesize(firings, p_.sample_rate_hz, duration);
-  lcm::TagArray idle(p_.tag_config());
-  const auto base = idle.synthesize({}, p_.sample_rate_hz, duration);
-  sync_reference_.resize(active.size());
-  for (std::size_t i = 0; i < active.size(); ++i) sync_reference_[i] = active[i] - base[i];
+  sync_reference_ =
+      lcm::modulated_response(p_.tag_config(), firings, p_.sample_rate_hz, duration);
 }
 
 MobileDemodulator::Result MobileDemodulator::demodulate(const sig::IqWaveform& rx,
                                                         const MobilePacket& packet,
                                                         const DemodOptions& options) const {
   Result out;
-  const auto det = inner_.preamble().detect(rx, options.search_limit);
+  PreambleWorkspace preamble_ws;
+  const auto det = inner_.preamble().detect(rx, options.search_limit, preamble_ws);
   out.preamble_found = det.found;
   if (!det.found) return out;
   const std::size_t t_samps = p_.samples_per_slot();
   const std::size_t frame_start = det.start_sample;
 
   // One-time channel training on the header (section 4.3.3), valid for
-  // pulse shapes; fast drift is handled per block below.
-  const auto header_corrected = inner_.preamble().correct(rx, det);
-  std::optional<PulseBank> trained;
+  // pulse shapes; fast drift is handled per block below. `corrected` is
+  // rebuilt from `rx` under each block's correction in pass 2.
+  sig::IqWaveform corrected = rx;
+  inner_.preamble().correct_in_place(corrected, det);
+  PulseBank trained;
   const PulseBank* bank = options.oracle;
   if (bank == nullptr) {
-    trained = OnlineTrainer::train(p_, inner_.offline_model(), packet.layout, header_corrected,
-                                   frame_start);
-    bank = &*trained;
+    TrainingWorkspace training_ws;
+    OnlineTrainer::train_into(p_, inner_.offline_model(), packet.layout, corrected, frame_start,
+                              trained, training_ws);
+    bank = &trained;
   }
   const DfeEqualizer eq(p_, *bank);
 
@@ -199,6 +199,8 @@ MobileDemodulator::Result MobileDemodulator::demodulate(const sig::IqWaveform& r
   };
 
   // Pass 2: demodulate each block under its interpolated correction.
+  EqualizerWorkspace eq_ws;
+  EqualizerResult eqr;
   for (const auto& block : packet.blocks) {
     const double centre = block.payload_begin_slot + 0.5 * block.payload_slots;
     const auto anchor = coeffs_at(centre);
@@ -207,16 +209,14 @@ MobileDemodulator::Result MobileDemodulator::demodulate(const sig::IqWaveform& r
     block_det.b = anchor.b;
     block_det.c = anchor.c;
     out.block_rotation_deg.push_back(-0.5 * rt::rad_to_deg(std::arg(block_det.a)));
-    const auto corrected = inner_.preamble().correct(rx, block_det);
+    corrected = rx;
+    inner_.preamble().correct_in_place(corrected, block_det);
     const std::size_t payload_begin =
         frame_start + static_cast<std::size_t>(block.payload_begin_slot) * t_samps;
-    const auto eqr = eq.equalize(corrected, payload_begin, block.payload_slots, zero_hist);
-    for (const auto& sym : eqr.symbols) {
-      const auto bits = constellation.unmap(sym);
-      out.bits.insert(out.bits.end(), bits.begin(), bits.end());
-    }
+    eq.equalize_into(corrected, payload_begin, block.payload_slots, zero_hist, eq_ws, eqr);
+    for (const auto& sym : eqr.symbols) constellation.unmap_into(sym, out.bits);
   }
-  if (options.descramble) out.bits = sig::Scrambler{}.apply(out.bits);
+  if (options.descramble) sig::Scrambler{}.apply_in_place(out.bits);
   return out;
 }
 

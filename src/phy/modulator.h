@@ -53,18 +53,10 @@ class Modulator {
   /// Number of padding-free payload bits per slot.
   [[nodiscard]] int bits_per_slot() const { return constellation_.bits_per_symbol(); }
 
-  /// Builds a full packet. `payload_bits` is scrambled (DC balance,
-  /// footnote 4), zero-padded to a whole number of slots, and mapped to
-  /// symbols.
-  [[nodiscard]] PacketSchedule modulate(std::span<const std::uint8_t> payload_bits) const {
-    ModulatorWorkspace ws;
-    PacketSchedule out;
-    modulate_into(payload_bits, ws, out);
-    return out;
-  }
-
-  /// Workspace form of modulate(): rebuilds `out` inside its existing
-  /// capacity. Bit-identical to modulate().
+  /// Builds a full packet into `out`, rebuilt inside its existing
+  /// capacity. `payload_bits` is scrambled (DC balance, footnote 4),
+  /// zero-padded to a whole number of firing groups, and mapped to
+  /// symbols; `out.firings` comes out sorted by time.
   void modulate_into(std::span<const std::uint8_t> payload_bits, ModulatorWorkspace& ws,
                      PacketSchedule& out) const {
     RT_TRACE_SPAN("modulate");
@@ -112,12 +104,6 @@ class Modulator {
                                return a.time_s < b.time_s;
                              }));
     out.duration_s = out.layout.total_slots() * p_.slot_s;
-  }
-
-  /// Descrambles bits recovered by the demodulator (inverse of modulate's
-  /// scrambling; additive scrambler, so the same operation).
-  [[nodiscard]] std::vector<std::uint8_t> descramble(std::span<const std::uint8_t> bits) const {
-    return scrambler_.apply(bits);
   }
 
   [[nodiscard]] const Constellation& constellation() const { return constellation_; }

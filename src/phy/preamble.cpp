@@ -15,17 +15,12 @@ PreambleProcessor::PreambleProcessor(const PhyParams& params) : p_(params) {
   p_.validate();
   // Ideal tag: the paper's reference is "collected and calibrated to be
   // rotation-free" at high SNR; our equivalent is the noiseless simulator
-  // with zero heterogeneity.
-  lcm::TagArray ideal(p_.tag_config());
-  const auto firings = preamble_firings(p_, 0);
-  // Include one DSM symbol of tail: the trailing discharges are part of the
-  // deterministic preamble response and add matching energy.
+  // with zero heterogeneity. Include one DSM symbol of tail: the trailing
+  // discharges are part of the deterministic preamble response and add
+  // matching energy.
   const double duration = (p_.preamble_slots + p_.dsm_order) * p_.slot_s;
-  auto active = ideal.synthesize(firings, p_.sample_rate_hz, duration);
-  lcm::TagArray idle_tag(p_.tag_config());
-  const auto idle = idle_tag.synthesize(std::vector<lcm::Firing>{}, p_.sample_rate_hz, duration);
-  reference_.resize(active.size());
-  for (std::size_t i = 0; i < active.size(); ++i) reference_[i] = active[i] - idle[i];
+  reference_ = lcm::modulated_response(p_.tag_config(), preamble_firings(p_, 0),
+                                       p_.sample_rate_hz, duration);
   // Cache what detect()/regress() would otherwise recompute per call: the
   // zero-mean correlation reference and the raw reference energy.
   centered_ref_ = sig::make_centered_ref(reference_);
@@ -77,12 +72,6 @@ double PreambleProcessor::regress(const sig::IqWaveform& rx, std::size_t offset,
   if (ref_energy_ == 0.0) return 1.0;
   const double resid = linalg::residual_norm(ws.design, sol, std::span<const Complex>(ws.y));
   return resid / std::sqrt(ref_energy_);
-}
-
-PreambleDetection PreambleProcessor::detect(const sig::IqWaveform& rx,
-                                            std::size_t search_limit) const {
-  PreambleWorkspace ws;
-  return detect(rx, search_limit, ws);
 }
 
 PreambleDetection PreambleProcessor::detect(const sig::IqWaveform& rx, std::size_t search_limit,
@@ -148,13 +137,6 @@ PreambleDetection PreambleProcessor::detect(const sig::IqWaveform& rx, std::size
   // synchronize below 0 dB per-sample SNR (paper: 1 Kbps at -5 dB).
   det.found = best_resid < kResidThreshold || det.correlation_peak > kCorrThreshold;
   return det;
-}
-
-sig::IqWaveform PreambleProcessor::correct(const sig::IqWaveform& rx,
-                                           const PreambleDetection& det) const {
-  sig::IqWaveform out = rx;
-  correct_in_place(out, det);
-  return out;
 }
 
 void PreambleProcessor::correct_in_place(sig::IqWaveform& rx,

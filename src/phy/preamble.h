@@ -58,22 +58,14 @@ class PreambleProcessor {
   explicit PreambleProcessor(const PhyParams& params);
 
   /// Searches `rx` for the preamble. `search_limit` bounds the candidate
-  /// start sample (0 = search the whole waveform).
-  [[nodiscard]] PreambleDetection detect(const sig::IqWaveform& rx,
-                                         std::size_t search_limit = 0) const;
-
-  /// Workspace form of detect(): bit-identical result, zero steady-state
+  /// start sample (0 = search the whole waveform). Zero steady-state
   /// allocations once `ws` has warmed up.
   [[nodiscard]] PreambleDetection detect(const sig::IqWaveform& rx, std::size_t search_limit,
                                          PreambleWorkspace& ws) const;
 
-  /// Applies the regression coefficients: y[i] = a x[i] + b conj(x[i]) + c,
-  /// mapping the received packet into the rotation-free reference frame.
-  [[nodiscard]] sig::IqWaveform correct(const sig::IqWaveform& rx,
-                                        const PreambleDetection& det) const;
-
-  /// In-place form of correct(): rewrites `rx` sample by sample instead of
-  /// copying the whole packet waveform.
+  /// Applies the regression coefficients in place,
+  /// rx[i] = a rx[i] + b conj(rx[i]) + c, mapping the received packet into
+  /// the rotation-free reference frame.
   void correct_in_place(sig::IqWaveform& rx, const PreambleDetection& det) const;
 
   /// Normalized-correlation acceptance threshold (the low-SNR path).

@@ -69,15 +69,6 @@ OfflineModel OfflineTrainer::train_from_banks(const PhyParams& params,
   return model;
 }
 
-PulseBank OnlineTrainer::train(const PhyParams& params, const OfflineModel& model,
-                               const FrameLayout& layout, const sig::IqWaveform& corrected_rx,
-                               std::size_t frame_start, double ridge) {
-  TrainingWorkspace ws;
-  PulseBank bank;
-  train_into(params, model, layout, corrected_rx, frame_start, bank, ws, ridge);
-  return bank;
-}
-
 namespace {
 
 /// Recomputes the cached training / pixel schedules when the geometry

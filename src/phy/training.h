@@ -80,22 +80,16 @@ struct TrainingWorkspace {
 class OnlineTrainer {
  public:
   /// Fits the per-module complex basis coefficients to the (rotation-
-  /// corrected) received training field and returns the reconstructed
-  /// pulse bank for the equalizer. `corrected_rx` must be aligned so that
-  /// sample index `frame_start` is frame slot 0.
+  /// corrected) received training field and writes the reconstructed
+  /// pulse bank for the equalizer into `bank` (resized and filled in
+  /// place, reusing the workspace buffers). `corrected_rx` must be aligned
+  /// so that sample index `frame_start` is frame slot 0.
   ///
   /// `ridge` is the Tikhonov regularization weight (relative to the mean
   /// squared column norm of the design matrix): it keeps the higher-order
   /// bases from amplifying noise when the training field barely excites
   /// them -- the "avoid overfitting to preserve noise tolerance" balance
   /// of section 4.3.3.
-  [[nodiscard]] static PulseBank train(const PhyParams& params, const OfflineModel& model,
-                                       const FrameLayout& layout,
-                                       const sig::IqWaveform& corrected_rx,
-                                       std::size_t frame_start, double ridge = 1e-4);
-
-  /// Workspace form of train(): resizes and fills `bank` in place,
-  /// reusing the workspace buffers. Bit-identical to train().
   static void train_into(const PhyParams& params, const OfflineModel& model,
                          const FrameLayout& layout, const sig::IqWaveform& corrected_rx,
                          std::size_t frame_start, PulseBank& bank, TrainingWorkspace& ws,

@@ -58,9 +58,13 @@ struct SlidingScratch {
   std::vector<double> penergy;
 };
 
-/// Workspace form of sliding_correlation_centered(): correlates a
-/// pre-centred reference against every alignment of `x`, writing into a
-/// caller-owned output buffer. Bit-identical to the allocating variant.
+/// Mean-invariant normalized correlation of a pre-centred reference
+/// against every alignment of `x` (output length: x.size() - ref size + 1,
+/// written into a caller-owned buffer). Both the reference and each window
+/// of `x` are centred, so a DC offset (the relaxed-pixel baseline in VLBC
+/// reception) cannot bias the peak: the zero-mean reference makes the
+/// numerator window-DC-invariant for free, and the window energy is
+/// corrected via prefix sums.
 inline void sliding_correlation_centered_into(std::span<const Complex> x,
                                               const CenteredRef& cref, SlidingScratch& scratch,
                                               std::vector<double>& out) {
@@ -101,20 +105,6 @@ inline void sliding_correlation_centered_into(std::span<const Complex> x,
   if (k == 0 || ref_energy == 0.0) return Complex{};
   const double centred_energy = st.wenergy - std::norm(st.wsum) / static_cast<double>(k);
   return centred_energy > 1e-300 ? st.acc / std::sqrt(ref_energy * centred_energy) : Complex{};
-}
-
-/// Mean-invariant normalized correlation: both the reference and each
-/// window of `x` are centred before correlating, so a DC offset (the
-/// relaxed-pixel baseline in VLBC reception) cannot bias the peak. Using a
-/// zero-mean reference makes the numerator window-DC-invariant for free;
-/// the window energy is corrected via prefix sums.
-[[nodiscard]] inline std::vector<double> sliding_correlation_centered(
-    std::span<const Complex> x, std::span<const Complex> ref_in) {
-  const CenteredRef cref = make_centered_ref(ref_in);
-  SlidingScratch scratch;
-  std::vector<double> out;
-  sliding_correlation_centered_into(x, cref, scratch, out);
-  return out;
 }
 
 }  // namespace rt::sig

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/error.h"
 #include "common/narrow.h"
@@ -23,43 +22,31 @@ class Scrambler {
     RT_ENSURE(seed_ != 0, "scrambler seed must be non-zero");
   }
 
-  /// XORs the input bit stream with the LFSR keystream. Applying twice with
-  /// the same seed restores the original data.
-  [[nodiscard]] std::vector<std::uint8_t> apply(std::span<const std::uint8_t> bits) const {
-    std::vector<std::uint8_t> out(bits.size());
-    std::uint8_t state = seed_;
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-      const std::uint8_t key = narrow_cast<std::uint8_t>(((state >> 6) ^ (state >> 3)) & 1U);
-      out[i] = narrow_cast<std::uint8_t>((bits[i] & 1U) ^ key);
-      state = narrow_cast<std::uint8_t>(((state << 1) | key) & 0x7F);
-    }
-    return out;
-  }
-
-  /// In-place variant for caller-owned buffers (XOR is its own inverse, so
-  /// this both scrambles and descrambles). Same keystream as apply().
+  /// XORs `bits` with the LFSR keystream in place. XOR is its own
+  /// inverse, so this both scrambles and descrambles: applying it twice
+  /// with the same seed restores the original data.
   void apply_in_place(std::span<std::uint8_t> bits) const {
     std::uint8_t state = seed_;
-    for (auto& b : bits) {
-      const std::uint8_t key = narrow_cast<std::uint8_t>(((state >> 6) ^ (state >> 3)) & 1U);
-      b = narrow_cast<std::uint8_t>((b & 1U) ^ key);
-      state = narrow_cast<std::uint8_t>(((state << 1) | key) & 0x7F);
-    }
+    for (auto& b : bits) b = narrow_cast<std::uint8_t>((b & 1U) ^ next_key(state));
   }
 
   /// Descrambles per-bit LLRs in place: XOR-ing a bit with keystream bit 1
   /// flips its meaning, which on the soft side is a sign flip (positive =
-  /// bit 0 convention). Same keystream as apply().
+  /// bit 0 convention). Same keystream as apply_in_place().
   void apply_sign_in_place(std::span<float> llrs) const {
     std::uint8_t state = seed_;
-    for (auto& llr : llrs) {
-      const std::uint8_t key = narrow_cast<std::uint8_t>(((state >> 6) ^ (state >> 3)) & 1U);
-      if (key) llr = -llr;
-      state = narrow_cast<std::uint8_t>(((state << 1) | key) & 0x7F);
-    }
+    for (auto& llr : llrs)
+      if (next_key(state)) llr = -llr;
   }
 
  private:
+  /// One LFSR step: returns the keystream bit and shifts it into `state`.
+  static std::uint8_t next_key(std::uint8_t& state) {
+    const std::uint8_t key = narrow_cast<std::uint8_t>(((state >> 6) ^ (state >> 3)) & 1U);
+    state = narrow_cast<std::uint8_t>(((state << 1) | key) & 0x7F);
+    return key;
+  }
+
   std::uint8_t seed_;
 };
 

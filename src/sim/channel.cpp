@@ -12,6 +12,11 @@
 
 namespace rt::sim {
 
+double ChannelConfig::snr_db() const {
+  if (snr_override_db) return *snr_override_db;
+  return budget.snr_db_at(pose.distance_m) - optics::LinkBudget::yaw_loss_db(pose.yaw_rad);
+}
+
 std::uint64_t next_channel_id() {
   // rt-check: sync-ok (process-wide id counter; channels are built from any thread)
   static std::atomic<std::uint64_t> counter{0};
@@ -48,15 +53,12 @@ namespace {
 /// Mean power of (preamble waveform - idle baseline) at unit gain: the
 /// modulated signal power defining SNR for a PHY configuration.
 double reference_power(const phy::PhyParams& params, const lcm::TagConfig& tag_cfg) {
-  lcm::TagArray active(tag_cfg);
-  lcm::TagArray idle(tag_cfg);
-  const auto firings = phy::preamble_firings(params, 0);
   const double duration = (params.preamble_slots + params.dsm_order) * params.slot_s;
-  const auto wa = active.synthesize(firings, params.sample_rate_hz, duration);
-  const auto wi = idle.synthesize({}, params.sample_rate_hz, duration);
+  const auto response = lcm::modulated_response(tag_cfg, phy::preamble_firings(params, 0),
+                                                params.sample_rate_hz, duration);
   double p = 0.0;
-  for (std::size_t i = 0; i < wa.size(); ++i) p += std::norm(wa[i] - wi[i]);
-  return p / static_cast<double>(wa.size());
+  for (const auto& v : response) p += std::norm(v);
+  return p / static_cast<double>(response.size());
 }
 
 }  // namespace

@@ -44,11 +44,10 @@ struct ChannelConfig {
   std::optional<double> snr_override_db;
   std::uint64_t noise_seed = 1;
 
-  /// Effective SNR including yaw projection loss.
-  [[nodiscard]] double snr_db() const {
-    if (snr_override_db) return *snr_override_db;
-    return budget.snr_db_at(pose.distance_m) - optics::LinkBudget::yaw_loss_db(pose.yaw_rad);
-  }
+  /// Effective SNR including yaw projection loss. Defined out of line:
+  /// inlined into a caller that builds the config on its stack, the
+  /// optional's read draws a spurious -Wmaybe-uninitialized from GCC 12.
+  [[nodiscard]] double snr_db() const;
 };
 
 /// Returns a process-unique channel identity (monotonic counter).

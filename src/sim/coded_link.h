@@ -17,6 +17,7 @@
 #include <span>
 
 #include "coding/coded_frame.h"
+#include "common/bitio.h"
 #include "obs/trace.h"
 #include "sim/link_sim.h"
 
@@ -172,8 +173,7 @@ class CodedLink {
       out.payload = res.payload;
       RT_OBS_COUNT(kRsErasuresMarked, res.erasures_used);
       if (!res.crc_ok) RT_OBS_COUNT(kCodedCrcFailures, 1);
-      for (std::size_t i = 0; i < info_n; ++i)
-        out.info_bit_errors += (res.payload[i] != info_bits[i]) ? 1 : 0;
+      out.info_bit_errors = hamming_distance(res.payload.first(info_n), info_bits);
     }
     return out;
   }

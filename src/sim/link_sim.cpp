@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/bitio.h"
 #include "common/narrow.h"
 #include "obs/trace.h"
 #include "phy/training.h"
@@ -85,8 +86,8 @@ LinkSimulator::PacketOutcome LinkSimulator::transmit_into(
   } else {
     RT_ENSURE(res.bits.size() >= payload_bits.size(),
               "demodulator returned fewer bits than the transmitted payload");
-    for (std::size_t i = 0; i < payload_bits.size(); ++i)
-      out.bit_errors += (res.bits[i] != payload_bits[i]) ? 1 : 0;
+    out.bit_errors =
+        hamming_distance(std::span(res.bits).first(payload_bits.size()), payload_bits);
     if (opts_.export_soft_bits)
       out.soft_bits = std::span<const float>(res.soft_bits.data(), payload_bits.size());
     out.snr_estimate_db = res.detection.snr.snr_db;

@@ -34,23 +34,26 @@ struct ConcurrentTag {
   sig::IqWaveform sum(params.sample_rate_hz,
                       static_cast<std::size_t>(std::ceil(duration_s * params.sample_rate_hz)));
   double wanted_power = 0.0;
+  lcm::SynthScratch scratch;
+  sig::IqWaveform w;
+  sig::IqWaveform idle;
   for (std::size_t ti = 0; ti < tags.size(); ++ti) {
     const auto& ct = tags[ti];
     lcm::TagConfig cfg = ct.tag;
     cfg.yaw_rad = ct.pose.yaw_rad;
     lcm::TagArray tag(cfg);
-    auto w = tag.synthesize(ct.firings, params.sample_rate_hz, duration_s);
-    lcm::TagArray idle_tag(cfg);
-    const auto idle = idle_tag.synthesize({}, params.sample_rate_hz, duration_s);
+    tag.synthesize_into(ct.firings, params.sample_rate_hz, duration_s, scratch, w);
     const auto rot = optics::roll_rotation(ct.pose.roll_rad) * ct.relative_gain;
+    for (std::size_t i = 0; i < sum.size() && i < w.size(); ++i) sum[i] += rot * w[i];
+    if (ti != 0) continue;
+    // The wanted tag's modulated power (its idle baseline removed) sets
+    // the noise level.
+    tag.reset();
+    tag.synthesize_into({}, params.sample_rate_hz, duration_s, scratch, idle);
     double p = 0.0;
-    for (std::size_t i = 0; i < sum.size() && i < w.size(); ++i) {
-      const auto v = rot * w[i];
-      sum[i] += v;
-      const auto sig_only = rot * (w[i] - idle[i]);
-      if (ti == 0) p += std::norm(sig_only);
-    }
-    if (ti == 0) wanted_power = p / static_cast<double>(sum.size());
+    for (std::size_t i = 0; i < sum.size() && i < w.size(); ++i)
+      p += std::norm(rot * (w[i] - idle[i]));
+    wanted_power = p / static_cast<double>(sum.size());
   }
   if (wanted_power > 0.0) {
     const double sigma = std::sqrt(wanted_power / rt::from_db(snr_db) / 2.0);

@@ -36,17 +36,15 @@ StreamingReceiver::StreamingReceiver(const phy::Demodulator& demod, const Stream
       min_capacity_(std::max(peak_span_ + clamped_stride(options) + ref_len_, window_len_) +
                     kLeadMax + 8),
       ring_(options.ring_capacity != 0 ? options.ring_capacity : min_capacity_),
-      bank_(options.phase_hypotheses),
+      bank_(kPhaseHypotheses),
       sof_(demod.params(), demod.preamble().reference()) {
-  RT_ENSURE(opts_.scan_gate > 0.0 && opts_.scan_gate < 1.0, "scan gate must be in (0, 1)");
   RT_ENSURE(opts_.scan_stride >= 1, "scan stride must be at least 1");
-  RT_ENSURE(opts_.scan_block >= 1, "scan block must be at least one alignment");
   RT_ENSURE(ring_.capacity() >= min_capacity_,
             "ring capacity below the streaming state machine's working set");
   if (opts_.sof_max_bit_errors < 0) opts_.sof_max_bit_errors = demod.params().preamble_slots / 4;
   // Preallocate every buffer the hot path touches: the scan copy span,
   // the (larger of) peak-resolution span, and the decode window.
-  const std::size_t scan_span = (opts_.scan_block - 1) * opts_.scan_stride + ref_len_;
+  const std::size_t scan_span = (kScanBlock - 1) * opts_.scan_stride + ref_len_;
   const std::size_t sync_span = peak_span_ + opts_.scan_stride + ref_len_;
   scan_buf_.reserve(std::max(scan_span, sync_span));
   scan_re_.reserve(std::max(scan_span, sync_span));
@@ -117,13 +115,13 @@ bool StreamingReceiver::step_searching() {
   const std::size_t stride = opts_.scan_stride;
   const std::uint64_t max_align = end - ref_len_;
   std::size_t m = static_cast<std::size_t>((max_align - scan_pos_) / stride) + 1;
-  m = std::min(m, opts_.scan_block);
+  m = std::min(m, kScanBlock);
   load_span(scan_pos_, (m - 1) * stride + ref_len_);
   for (std::size_t j = 0; j < m; ++j) {
     // The statistic is a pure function of the window samples alone, so
     // the crossing decision at an absolute alignment does not depend on
     // where this scan block happened to start (chunk-size invariance).
-    if (bank_.score(correlation_at(j * stride)) >= opts_.scan_gate) {
+    if (bank_.score(correlation_at(j * stride)) >= kScanGate) {
       const std::uint64_t t_c = scan_pos_ + j * stride;
       // The true peak can trail the crossing by up to one reference
       // length (the correlation ramps while the windows overlap) and

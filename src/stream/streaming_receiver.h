@@ -9,7 +9,7 @@
 //   SEARCHING  continuous preamble scan: centred normalized correlation
 //              against the offline reference, scored through a bank of
 //              phase-hypothesis matched filters (phase_bank.h); the first
-//              alignment whose score crosses `scan_gate` arms a sync.
+//              alignment whose score crosses `kScanGate` arms a sync.
 //   SYNCED     peak resolution: once one full correlation span past the
 //              crossing is buffered, the magnitude argmax pins the
 //              candidate start t*, and the bit-error-tolerant soft SOF
@@ -51,18 +51,11 @@ struct StreamOptions {
   /// Expected payload length in slots (the fixed-geometry frame contract;
   /// sim_source computes it from the payload byte count). Required.
   int payload_slots = 0;
-  /// Detection gate on the phase-bank correlation score. Noise floors at
-  /// ~1/sqrt(reference length) (< 0.05 for any supported preamble), a
-  /// real preamble peaks near 1; 0.45 leaves margin both ways.
-  double scan_gate = 0.45;
-  int phase_hypotheses = 8;
   /// Scan decimation: only every `scan_stride`-th alignment is scored in
   /// SEARCHING. SYNCED re-resolves the peak at full resolution, so any
   /// stride yields the same decodes; larger strides trade detection
   /// latency for scan throughput.
   std::size_t scan_stride = 1;
-  /// Alignments scored per scan batch (bounds the scratch buffers).
-  std::size_t scan_block = 512;
   /// SOF mismatch budget in slots; -1 = preamble_slots / 4 (noise decides
   /// ~half the slots wrong, so a quarter is a comfortable wall).
   int sof_max_bit_errors = -1;
@@ -157,6 +150,14 @@ class StreamingReceiver {
   std::size_t window_len_ = 0;    ///< decode window length (lead + frame + W)
   std::size_t min_capacity_ = 0;
   static constexpr std::size_t kLeadMax = 3;  ///< refinement look-back (preamble +-3)
+  /// Detection gate on the phase-bank correlation score. Noise floors at
+  /// ~1/sqrt(reference length) (< 0.05 for any supported preamble), a
+  /// real preamble peaks near 1; 0.45 leaves margin both ways.
+  static constexpr double kScanGate = 0.45;
+  static_assert(kScanGate > 0.0 && kScanGate < 1.0, "scan gate must be in (0, 1)");
+  static constexpr int kPhaseHypotheses = 8;  ///< rotors in the scan's phase bank
+  /// Alignments scored per scan batch (bounds the scratch buffers).
+  static constexpr std::size_t kScanBlock = 512;
 
   SampleRing ring_;
   PhaseBank bank_;

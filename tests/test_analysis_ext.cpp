@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <set>
+#include <span>
 
 #include "common/units.h"
 #include "phy/demodulator.h"
@@ -25,6 +26,15 @@ class MultiTagTest : public ::testing::Test {
     p.equalizer_branches = 8;
     return p;
   }
+
+  /// The packet schedule `mod` builds for `bits`.
+  static phy::PacketSchedule packet(const phy::Modulator& mod,
+                                    std::span<const std::uint8_t> bits) {
+    phy::ModulatorWorkspace ws;
+    phy::PacketSchedule pkt;
+    mod.modulate_into(bits, ws, pkt);
+    return pkt;
+  }
 };
 
 TEST_F(MultiTagTest, ConcurrentTransmissionBreaksSingleTagDemodulation) {
@@ -35,17 +45,19 @@ TEST_F(MultiTagTest, ConcurrentTransmissionBreaksSingleTagDemodulation) {
   Rng rng(3);
   const auto bits_a = rng.bits(64);
   const auto bits_b = rng.bits(64);
-  const auto pkt_a = mod.modulate(bits_a);
-  const auto pkt_b = mod.modulate(bits_b);
+  const auto pkt_a = packet(mod, bits_a);
+  const auto pkt_b = packet(mod, bits_b);
 
   const auto demod_ber = [&](const std::vector<sim::ConcurrentTag>& tags) {
     Rng noise(9);
-    const auto rx = sim::superimpose_tags(p, tags, pkt_a.duration_s + p.symbol_duration_s(),
-                                          35.0, noise);
+    auto rx = sim::superimpose_tags(p, tags, pkt_a.duration_s + p.symbol_duration_s(), 35.0,
+                                    noise);
     const phy::Demodulator demod(p, sim::train_offline_model(p, p.tag_config()));
     phy::DemodOptions opts;
     opts.search_limit = 2 * p.samples_per_slot();
-    const auto res = demod.demodulate(rx, pkt_a.layout.payload_slots, opts);
+    phy::DemodWorkspace ws;
+    phy::DemodResult res;
+    demod.demodulate_into(rx, pkt_a.layout.payload_slots, opts, ws, res);
     if (!res.preamble_found) return 1.0;
     std::size_t errors = 0;
     for (std::size_t i = 0; i < bits_a.size(); ++i) errors += res.bits[i] != bits_a[i];
@@ -70,7 +82,7 @@ TEST_F(MultiTagTest, SeededSuperimposeIsAPureFunctionOfItsSeed) {
   const auto p = params();
   const phy::Modulator mod(p);
   Rng rng(21);
-  const auto pkt = mod.modulate(rng.bits(16));
+  const auto pkt = packet(mod, rng.bits(16));
   const std::vector<sim::ConcurrentTag> tags = {
       {p.tag_config(), sim::Pose{}, 1.0, pkt.firings}};
   const double dur = pkt.duration_s + p.symbol_duration_s();
@@ -91,7 +103,7 @@ TEST_F(MultiTagTest, SeededOverloadMatchesExplicitRng) {
   const auto p = params();
   const phy::Modulator mod(p);
   Rng rng(22);
-  const auto pkt = mod.modulate(rng.bits(16));
+  const auto pkt = packet(mod, rng.bits(16));
   const std::vector<sim::ConcurrentTag> tags = {
       {p.tag_config(), sim::Pose{}, 1.0, pkt.firings}};
   const double dur = pkt.duration_s + p.symbol_duration_s();
@@ -124,18 +136,20 @@ TEST_F(MultiTagTest, WeakInterfererOnlyDegradesGracefully) {
   const phy::Modulator mod(p);
   Rng rng(5);
   const auto bits_a = rng.bits(64);
-  const auto pkt_a = mod.modulate(bits_a);
-  const auto pkt_b = mod.modulate(rng.bits(64));
+  const auto pkt_a = packet(mod, bits_a);
+  const auto pkt_b = packet(mod, rng.bits(64));
   sim::ConcurrentTag wanted{p.tag_config(), sim::Pose{}, 1.0, pkt_a.firings};
   sim::ConcurrentTag weak{p.tag_config(), sim::Pose{}, 0.1, pkt_b.firings};
   weak.tag.seed = 55;
   Rng noise(11);
-  const auto rx = sim::superimpose_tags(p, {wanted, weak},
-                                        pkt_a.duration_s + p.symbol_duration_s(), 35.0, noise);
+  auto rx = sim::superimpose_tags(p, {wanted, weak}, pkt_a.duration_s + p.symbol_duration_s(),
+                                  35.0, noise);
   const phy::Demodulator demod(p, sim::train_offline_model(p, p.tag_config()));
   phy::DemodOptions opts;
   opts.search_limit = 2 * p.samples_per_slot();
-  const auto res = demod.demodulate(rx, pkt_a.layout.payload_slots, opts);
+  phy::DemodWorkspace ws;
+  phy::DemodResult res;
+  demod.demodulate_into(rx, pkt_a.layout.payload_slots, opts, ws, res);
   ASSERT_TRUE(res.preamble_found);
   std::size_t errors = 0;
   for (std::size_t i = 0; i < bits_a.size(); ++i) errors += res.bits[i] != bits_a[i];

@@ -291,32 +291,54 @@ std::vector<std::uint8_t> bits_of(const std::string& s) {
   return v;
 }
 
+std::vector<std::uint8_t> cc_encoded(const ConvolutionalCode& cc,
+                                     std::span<const std::uint8_t> msg) {
+  std::vector<std::uint8_t> coded;
+  cc.encode_into(msg, coded);
+  return coded;
+}
+
 TEST(Convolutional, GoldenK7Vectors) {
   // Reference encodings of the industry-standard K=7 (133, 171) code,
   // flush included (g1 output first in each pair).
   const ConvolutionalCode cc;
-  EXPECT_EQ(cc.encode(bits_of("1")), bits_of("11100011110111"));
-  EXPECT_EQ(cc.encode(bits_of("10110100")), bits_of("1110111001010110010001110000"));
-  EXPECT_EQ(cc.encode(bits_of("1111")), bits_of("11010110100110011011"));
+  EXPECT_EQ(cc_encoded(cc, bits_of("1")), bits_of("11100011110111"));
+  EXPECT_EQ(cc_encoded(cc, bits_of("10110100")), bits_of("1110111001010110010001110000"));
+  EXPECT_EQ(cc_encoded(cc, bits_of("1111")), bits_of("11010110100110011011"));
 }
 
 TEST(Convolutional, IntoVariantsMatchAllocatingWrappers) {
+  // One workspace and one set of output buffers reused across growing and
+  // shrinking frames, dirtied first by a long noisy decode, must give the
+  // same bits as a fresh workspace and fresh buffers on every frame.
   const ConvolutionalCode cc;
-  ConvWorkspace ws;
   Rng rng(47);
-  for (const std::size_t n : {1UL, 8UL, 64UL, 257UL}) {
+  ConvWorkspace ws;
+  std::vector<std::uint8_t> coded(4000, 1);
+  std::vector<std::uint8_t> decoded(4000, 1);
+  std::vector<float> junk(2 * 600);
+  for (auto& l : junk) l = static_cast<float>(rng.gaussian());
+  cc.decode_soft_into(junk, ws, decoded);
+  for (const std::size_t n : {257UL, 1UL, 64UL, 8UL, 300UL}) {
     std::vector<std::uint8_t> msg(n);
     rng.fill_bits(msg);
-    const auto coded = cc.encode(msg);
-    std::vector<std::uint8_t> coded_into;
-    cc.encode_into(msg, coded_into);
-    EXPECT_EQ(coded, coded_into);
+    cc.encode_into(msg, coded);
+    EXPECT_EQ(coded, cc_encoded(cc, msg)) << n;
 
-    const auto decoded = cc.decode(coded);
-    std::vector<std::uint8_t> decoded_into;
-    cc.decode_into(coded, ws, decoded_into);
-    EXPECT_EQ(decoded, decoded_into);
-    EXPECT_EQ(decoded_into, msg);
+    ConvWorkspace fresh_ws;
+    std::vector<std::uint8_t> fresh;
+    cc.decode_into(coded, fresh_ws, fresh);
+    cc.decode_into(coded, ws, decoded);
+    EXPECT_EQ(decoded, fresh) << n;
+    EXPECT_EQ(decoded, msg) << n;
+
+    std::vector<float> llrs(coded.size());
+    for (std::size_t i = 0; i < coded.size(); ++i)
+      llrs[i] = static_cast<float>((coded[i] ? -1.0 : 1.0) + 0.8 * rng.gaussian());
+    ConvWorkspace fresh_soft_ws;
+    cc.decode_soft_into(llrs, fresh_soft_ws, fresh);
+    cc.decode_soft_into(llrs, ws, decoded);
+    EXPECT_EQ(decoded, fresh) << n;
   }
 }
 
@@ -326,7 +348,7 @@ TEST(Convolutional, HardViterbiCorrectsScatteredErrors) {
   Rng rng(53);
   std::vector<std::uint8_t> msg(96);
   rng.fill_bits(msg);
-  auto coded = cc.encode(msg);
+  auto coded = cc_encoded(cc, msg);
   // d_free = 10: a few well-separated single-bit errors are correctable.
   for (const std::size_t p : {8UL, 60UL, 120UL, 180UL}) coded[p] ^= 1U;
   std::vector<std::uint8_t> decoded;
@@ -343,7 +365,7 @@ TEST(Convolutional, SoftNeverWorseThanHardOnAwgn) {
   Rng rng(59);
   std::vector<std::uint8_t> msg(512);
   rng.fill_bits(msg);
-  const auto coded = cc.encode(msg);
+  const auto coded = cc_encoded(cc, msg);
   std::size_t soft_total = 0, hard_total = 0;
   for (const double snr_db : {0.0, 1.0, 2.0, 3.0, 4.0}) {
     const double sigma = std::pow(10.0, -snr_db / 20.0);
@@ -378,7 +400,7 @@ TEST(Convolutional, ErasedBitsAreFree) {
   Rng rng(61);
   std::vector<std::uint8_t> msg(64);
   rng.fill_bits(msg);
-  const auto coded = cc.encode(msg);
+  const auto coded = cc_encoded(cc, msg);
   std::vector<float> llrs(coded.size());
   for (std::size_t i = 0; i < coded.size(); ++i) llrs[i] = coded[i] ? -4.0F : 4.0F;
   for (const std::size_t p : {3UL, 40UL, 41UL, 90UL, 127UL}) llrs[p] = 0.0F;
@@ -392,19 +414,28 @@ TEST(Convolutional, ErasedBitsAreFree) {
 // ---------------------------------------------------------------------------
 
 TEST(Interleaver, RoundTripAndIntoEquivalence) {
+  // Output buffers reused (and dirty) across growing and shrinking blocks
+  // give the same permutation as fresh ones, and deinterleave inverts it.
   Rng rng(67);
-  for (const auto& [rows, cols] :
-       std::vector<std::pair<std::size_t, std::size_t>>{{1, 8}, {4, 4}, {4, 39}, {8, 16}}) {
+  std::vector<std::uint8_t> shuffled(500, 0xFF);
+  std::vector<std::uint8_t> back(500, 0xFF);
+  for (const auto& [rows, cols] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {4, 39}, {1, 8}, {4, 4}, {8, 16}, {2, 3}}) {
     const BlockInterleaver il(rows, cols);
-    std::vector<std::uint8_t> data(rows * cols);
+    std::vector<std::uint8_t> data(2 * rows * cols);
     rng.fill_bits(data);
-    const auto shuffled = il.interleave(std::span<const std::uint8_t>(data));
-    EXPECT_EQ(il.deinterleave(std::span<const std::uint8_t>(shuffled)), data);
-    std::vector<std::uint8_t> shuffled_into, back_into;
-    il.interleave_into(std::span<const std::uint8_t>(data), shuffled_into);
-    EXPECT_EQ(shuffled_into, shuffled);
-    il.deinterleave_into(std::span<const std::uint8_t>(shuffled_into), back_into);
-    EXPECT_EQ(back_into, data);
+    std::vector<std::uint8_t> fresh;
+    il.interleave_into(std::span<const std::uint8_t>(data), fresh);
+    il.interleave_into(std::span<const std::uint8_t>(data), shuffled);
+    EXPECT_EQ(shuffled, fresh);
+    if (rows > 1) {
+      EXPECT_NE(shuffled, data);
+    }
+    std::vector<std::uint8_t> fresh_back;
+    il.deinterleave_into(std::span<const std::uint8_t>(shuffled), fresh_back);
+    il.deinterleave_into(std::span<const std::uint8_t>(shuffled), back);
+    EXPECT_EQ(back, fresh_back);
+    EXPECT_EQ(back, data);
   }
 }
 
@@ -416,10 +447,12 @@ TEST(Interleaver, BurstSpreadsToOneErrorPerRow) {
   const BlockInterleaver il(rows, cols);
   EXPECT_EQ(il.burst_tolerance(), rows);
   std::vector<std::uint8_t> data(rows * cols, 0);
+  std::vector<std::uint8_t> shuffled;
+  std::vector<std::uint8_t> back;
   for (std::size_t start = 0; start + rows <= data.size(); start += 5) {
-    auto shuffled = il.interleave(std::span<const std::uint8_t>(data));
+    il.interleave_into(std::span<const std::uint8_t>(data), shuffled);
     for (std::size_t i = 0; i < rows; ++i) shuffled[start + i] ^= 1U;
-    const auto back = il.deinterleave(std::span<const std::uint8_t>(shuffled));
+    il.deinterleave_into(std::span<const std::uint8_t>(shuffled), back);
     for (std::size_t r = 0; r < rows; ++r) {
       int hits = 0;
       for (std::size_t c = 0; c < cols; ++c) hits += back[r * cols + c] != 0 ? 1 : 0;

@@ -121,8 +121,11 @@ TEST(Interleaver, RoundTripIdentity) {
   coding::BlockInterleaver il(8, 16);
   Rng rng(23);
   const auto data = rng.bytes(il.block_size() * 3);
-  const auto mixed = il.interleave(std::span<const std::uint8_t>(data));
-  EXPECT_EQ(il.deinterleave(std::span<const std::uint8_t>(mixed)), data);
+  std::vector<std::uint8_t> mixed;
+  std::vector<std::uint8_t> restored;
+  il.interleave_into(std::span<const std::uint8_t>(data), mixed);
+  il.deinterleave_into(std::span<const std::uint8_t>(mixed), restored);
+  EXPECT_EQ(restored, data);
 }
 
 TEST(Interleaver, SpreadsBursts) {
@@ -130,9 +133,11 @@ TEST(Interleaver, SpreadsBursts) {
   // A burst of 8 consecutive symbols in the interleaved domain lands in 8
   // distinct rows after deinterleaving => <= 1 error per row.
   std::vector<std::uint8_t> clean(il.block_size(), 0);
-  auto corrupted = il.interleave(std::span<const std::uint8_t>(clean));
+  std::vector<std::uint8_t> corrupted;
+  il.interleave_into(std::span<const std::uint8_t>(clean), corrupted);
   for (std::size_t i = 40; i < 48; ++i) corrupted[i] = 1;
-  const auto restored = il.deinterleave(std::span<const std::uint8_t>(corrupted));
+  std::vector<std::uint8_t> restored;
+  il.deinterleave_into(std::span<const std::uint8_t>(corrupted), restored);
   // Count errors per row of the original layout.
   for (std::size_t r = 0; r < 8; ++r) {
     int row_errors = 0;
@@ -144,32 +149,45 @@ TEST(Interleaver, SpreadsBursts) {
 TEST(Interleaver, RejectsPartialBlocks) {
   coding::BlockInterleaver il(4, 4);
   const std::vector<std::uint8_t> partial(10, 0);
-  EXPECT_THROW((void)il.interleave(std::span<const std::uint8_t>(partial)), PreconditionError);
+  std::vector<std::uint8_t> out;
+  EXPECT_THROW(il.interleave_into(std::span<const std::uint8_t>(partial), out),
+               PreconditionError);
+  EXPECT_THROW(il.deinterleave_into(std::span<const std::uint8_t>(partial), out),
+               PreconditionError);
 }
 
 // ------------------------------------------------------ convolutional --
 
 TEST(Convolutional, EncodeDecodeCleanChannel) {
   coding::ConvolutionalCode cc;
+  coding::ConvWorkspace ws;
   Rng rng(29);
   const auto bits = rng.bits(200);
-  const auto coded = cc.encode(bits);
+  std::vector<std::uint8_t> coded;
+  cc.encode_into(bits, coded);
   EXPECT_EQ(coded.size(), 2 * (bits.size() + 6));
-  EXPECT_EQ(cc.decode(coded), bits);
+  std::vector<std::uint8_t> decoded;
+  cc.decode_into(coded, ws, decoded);
+  EXPECT_EQ(decoded, bits);
 }
 
 TEST(Convolutional, CorrectsScatteredErrors) {
   coding::ConvolutionalCode cc;
+  coding::ConvWorkspace ws;
   Rng rng(31);
   const auto bits = rng.bits(300);
-  auto coded = cc.encode(bits);
+  std::vector<std::uint8_t> coded;
+  cc.encode_into(bits, coded);
   // Flip well-separated bits (inside the free-distance budget per span).
   for (std::size_t i = 10; i + 40 < coded.size(); i += 40) coded[i] ^= 1;
-  EXPECT_EQ(cc.decode(coded), bits);
+  std::vector<std::uint8_t> decoded;
+  cc.decode_into(coded, ws, decoded);
+  EXPECT_EQ(decoded, bits);
 }
 
 TEST(Convolutional, BerImprovesOverUncodedAtModerateNoise) {
   coding::ConvolutionalCode cc;
+  coding::ConvWorkspace ws;
   Rng rng(37);
   const double p_flip = 0.02;
   std::size_t raw_errors = 0;
@@ -177,7 +195,8 @@ TEST(Convolutional, BerImprovesOverUncodedAtModerateNoise) {
   std::size_t total = 0;
   for (int trial = 0; trial < 20; ++trial) {
     const auto bits = rng.bits(256);
-    auto coded = cc.encode(bits);
+    std::vector<std::uint8_t> coded;
+    cc.encode_into(bits, coded);
     std::size_t flips = 0;
     for (auto& b : coded)
       if (rng.bernoulli(p_flip)) {
@@ -185,7 +204,8 @@ TEST(Convolutional, BerImprovesOverUncodedAtModerateNoise) {
         ++flips;
       }
     raw_errors += flips / 2;  // equivalent uncoded exposure
-    const auto dec = cc.decode(coded);
+    std::vector<std::uint8_t> dec;
+    cc.decode_into(coded, ws, dec);
     for (std::size_t i = 0; i < bits.size(); ++i) dec_errors += dec[i] != bits[i];
     total += bits.size();
   }

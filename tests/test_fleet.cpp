@@ -261,5 +261,27 @@ TEST(CollisionStudyTest, PooledRunIsBitIdenticalAndGainDegradesTheLink) {
       << "an equal-power concurrent tag must corrupt the uplink";
 }
 
+TEST(CollisionStudyTest, BenchStudyStatsArePinned) {
+  // bench_fleet_inventory's study (gains {0, 0.5, 1}, 2 trials each), on
+  // two pool workers sharing the study's one modulator and demodulator.
+  // The pinned stats are what the study produced when every trial built
+  // its own pair, so the shared stage objects change no output bit.
+  CollisionStudyConfig cfg;
+  cfg.interferer_gains = {0.0, 0.5, 1.0};
+  cfg.trials = 2;
+  cfg.threads = 2;
+  const CollisionStudyResult r = run_collision_study(cfg);
+  const std::size_t pinned_errors[] = {0, 18, 38};
+  ASSERT_EQ(r.points.size(), std::size(pinned_errors));
+  for (std::size_t i = 0; i < r.points.size(); ++i) {
+    const sim::LinkStats& s = r.points[i].stats;
+    EXPECT_EQ(r.points[i].interferer_gain, cfg.interferer_gains[i]);
+    EXPECT_EQ(s.packets, 2) << i;
+    EXPECT_EQ(s.preamble_failures, 0) << i;
+    EXPECT_EQ(s.total_bits, 128u) << i;
+    EXPECT_EQ(s.bit_errors, pinned_errors[i]) << i;
+  }
+}
+
 }  // namespace
 }  // namespace rt::fleet

@@ -35,7 +35,9 @@ TEST(Integration, FullPacketThroughPassbandFrontend) {
   const phy::Modulator mod(p);
   Rng rng(3);
   const auto bits = rng.bits(64);
-  const auto pkt = mod.modulate(bits);
+  phy::ModulatorWorkspace mod_ws;
+  phy::PacketSchedule pkt;
+  mod.modulate_into(bits, mod_ws, pkt);
 
   // Noiseless tag baseband (unit link gain, with a roll to correct).
   sim::ChannelConfig chc;
@@ -54,12 +56,14 @@ TEST(Integration, FullPacketThroughPassbandFrontend) {
   const double total_intensity = 16.0;
   Rng noise(7);
   const auto pd = chain.illuminate(baseband, total_intensity, 0.2);
-  const auto recovered = chain.process(pd, noise);
+  auto recovered = chain.process(pd, noise);
 
   const phy::Demodulator demod(p, sim::train_offline_model(p, p.tag_config()));
   phy::DemodOptions opts;
   opts.search_limit = 8 * p.samples_per_slot();
-  const auto res = demod.demodulate(recovered, pkt.layout.payload_slots, opts);
+  phy::DemodWorkspace demod_ws;
+  phy::DemodResult res;
+  demod.demodulate_into(recovered, pkt.layout.payload_slots, opts, demod_ws, res);
   ASSERT_TRUE(res.preamble_found) << "residual " << res.detection.normalized_residual;
   std::size_t errors = 0;
   for (std::size_t i = 0; i < bits.size(); ++i) errors += res.bits[i] != bits[i];
@@ -73,7 +77,9 @@ TEST(Integration, LowSnrSynchronizationViaCorrelationPath) {
   const auto p = fast_params();
   const phy::Modulator mod(p);
   Rng rng(5);
-  const auto pkt = mod.modulate(rng.bits(32));
+  phy::ModulatorWorkspace mod_ws;
+  phy::PacketSchedule pkt;
+  mod.modulate_into(rng.bits(32), mod_ws, pkt);
   sim::ChannelConfig ch;
   ch.snr_override_db = 0.0;
   sim::Channel channel(p, p.tag_config(), ch);
@@ -82,7 +88,8 @@ TEST(Integration, LowSnrSynchronizationViaCorrelationPath) {
   const auto rx = src(pkt.firings, pkt.duration_s + p.symbol_duration_s());
 
   const phy::PreambleProcessor pre(p);
-  const auto det = pre.detect(rx, 4 * p.samples_per_slot());
+  phy::PreambleWorkspace ws;
+  const auto det = pre.detect(rx, 4 * p.samples_per_slot(), ws);
   EXPECT_TRUE(det.found) << "corr peak " << det.correlation_peak << " residual "
                          << det.normalized_residual;
   EXPECT_GT(det.correlation_peak, pre.correlation_threshold());
@@ -95,7 +102,9 @@ TEST(Integration, CorrelationCenteredIgnoresDcBias) {
   for (auto& r : ref) r = sig::Complex(rng.gaussian(), rng.gaussian());
   std::vector<sig::Complex> x(400, sig::Complex(25.0, -13.0));  // huge DC floor
   for (std::size_t i = 0; i < ref.size(); ++i) x[150 + i] += ref[i];
-  const auto corr = sig::sliding_correlation_centered(x, ref);
+  sig::SlidingScratch scratch;
+  std::vector<double> corr;
+  sig::sliding_correlation_centered_into(x, sig::make_centered_ref(ref), scratch, corr);
   std::size_t best = 0;
   for (std::size_t i = 1; i < corr.size(); ++i)
     if (corr[i] > corr[best]) best = i;
@@ -124,18 +133,23 @@ TEST(Integration, RidgeTrainingRecoversOracleTemplates) {
   sim::Channel channel(p, tag, chc);
   const phy::Modulator mod(p);
   Rng rng(11);
-  const auto pkt = mod.modulate(rng.bits(32));
-  const auto rx = channel.noiseless_source()(pkt.firings, pkt.duration_s + p.symbol_duration_s());
+  phy::ModulatorWorkspace mod_ws;
+  phy::PacketSchedule pkt;
+  mod.modulate_into(rng.bits(32), mod_ws, pkt);
+  auto corrected =
+      channel.noiseless_source()(pkt.firings, pkt.duration_s + p.symbol_duration_s());
 
   const auto model = sim::train_offline_model(p, tag);
   // The trainer consumes the rotation-corrected, baseline-free signal.
   const phy::PreambleProcessor pre(p);
-  const auto det = pre.detect(rx, 2 * p.samples_per_slot());
+  phy::PreambleWorkspace preamble_ws;
+  const auto det = pre.detect(corrected, 2 * p.samples_per_slot(), preamble_ws);
   ASSERT_TRUE(det.found);
-  const auto corrected = pre.correct(rx, det);
-  const auto ridged =
-      phy::OnlineTrainer::train(p, model, pkt.layout, corrected, det.start_sample,
-                                /*ridge=*/1e-4);
+  pre.correct_in_place(corrected, det);
+  phy::TrainingWorkspace training_ws;
+  phy::PulseBank ridged;
+  phy::OnlineTrainer::train_into(p, model, pkt.layout, corrected, det.start_sample, ridged,
+                                 training_ws, /*ridge=*/1e-4);
   const auto oracle = phy::collect_fingerprints(p, channel.noiseless_source());
   for (int m = 0; m < ridged.modules(); ++m) {
     const auto a = ridged.pulse(m, 0b001);  // fired, no recent history
@@ -192,14 +206,21 @@ TEST(Integration, PixelCalibrationRecoversTrueGains) {
   sim::Channel channel(p, tag, chc);
   const phy::Modulator mod(p);
   Rng rng(5);
-  const auto pkt = mod.modulate(rng.bits(32));
-  const auto rx = channel.noiseless_source()(pkt.firings, pkt.duration_s + p.symbol_duration_s());
+  phy::ModulatorWorkspace mod_ws;
+  phy::PacketSchedule pkt;
+  mod.modulate_into(rng.bits(32), mod_ws, pkt);
+  auto corrected =
+      channel.noiseless_source()(pkt.firings, pkt.duration_s + p.symbol_duration_s());
   const phy::PreambleProcessor pre(p);
-  const auto det = pre.detect(rx, 2 * p.samples_per_slot());
+  phy::PreambleWorkspace preamble_ws;
+  const auto det = pre.detect(corrected, 2 * p.samples_per_slot(), preamble_ws);
   ASSERT_TRUE(det.found);
-  const auto corrected = pre.correct(rx, det);
+  pre.correct_in_place(corrected, det);
   const auto model = sim::train_offline_model(p, tag);
-  const auto bank = phy::OnlineTrainer::train(p, model, pkt.layout, corrected, det.start_sample);
+  phy::TrainingWorkspace training_ws;
+  phy::PulseBank bank;
+  phy::OnlineTrainer::train_into(p, model, pkt.layout, corrected, det.start_sample, bank,
+                                 training_ws);
   ASSERT_TRUE(bank.has_pixel_gains());
 
   // Ground truth from the tag itself: per-pixel gain relative to the

@@ -13,6 +13,16 @@
 namespace rt::lcm {
 namespace {
 
+/// Renders `schedule` on `tag` (from its current LC state) into a fresh
+/// waveform.
+sig::IqWaveform render(TagArray& tag, std::span<const Firing> schedule, double fs,
+                       double duration_s) {
+  SynthScratch scratch;
+  sig::IqWaveform out;
+  tag.synthesize_into(schedule, fs, duration_s, scratch, out);
+  return out;
+}
+
 /// Steps a cell with constant drive, returning time to cross `threshold`.
 double time_to_cross(LcCell& cell, bool driven, double threshold, bool rising,
                      double max_t = 20e-3) {
@@ -132,8 +142,8 @@ TEST(Pixel, BipolarContributionOnPolarizerAxis) {
   double sum_q = 0.0;
   for (std::size_t p = 0; p < half; ++p) sum_i += w[p];
   for (std::size_t p = half; p < w.size(); ++p) sum_q += w[p];
-  const auto y = tag.synthesize(
-      std::vector<Firing>{{rt::ms(1.0), 0, 3, 3}, {rt::ms(1.0), 1, 3, 3}}, 40e3, rt::ms(12.0));
+  const auto y = render(tag, std::vector<Firing>{{rt::ms(1.0), 0, 3, 3}, {rt::ms(1.0), 1, 3, 3}},
+                        40e3, rt::ms(12.0));
   EXPECT_NEAR(std::abs(y[0] - sig::Complex(-sum_i, -sum_q)), 0.0, 1e-12);
   EXPECT_NEAR(std::abs(y[y.index_at(rt::ms(10.5))] - sig::Complex(sum_i, sum_q)), 0.0, 1e-3);
 }
@@ -145,7 +155,8 @@ TEST(Pixel, QuadraturePixelIsOrthogonal) {
   cfg.dsm_order = 1;
   cfg.bits_per_axis = 1;
   const auto run = [&](std::vector<Firing> schedule) {
-    return TagArray(cfg).synthesize(schedule, 40e3, rt::ms(6.0));
+    TagArray tag(cfg);
+    return render(tag, schedule, 40e3, rt::ms(6.0));
   };
   const auto idle = run({});
   const auto wi = run({{rt::ms(0.5), 0, 1, -1}});
@@ -183,7 +194,7 @@ TEST(Module, SteadyStateSwingProportionalToLevel) {
   cfg.charge_s = rt::ms(20.0);
   for (const int level : {0, 1, 5, 10, 15}) {
     TagArray tag(cfg);
-    const auto y = tag.synthesize(std::vector<Firing>{{0.0, 0, level, -1}}, 20e3, rt::ms(20.0));
+    const auto y = render(tag, std::vector<Firing>{{0.0, 0, level, -1}}, 20e3, rt::ms(20.0));
     const auto last = y[y.size() - 1];
     const double expected = 2.0 * static_cast<double>(level) / 15.0 - 1.0;
     EXPECT_NEAR(last.real(), expected, 0.02) << "level " << level;
@@ -214,9 +225,9 @@ TEST(Module, LevelValidation) {
   TagConfig cfg;
   cfg.bits_per_axis = 2;
   TagArray tag(cfg);
-  EXPECT_THROW((void)tag.synthesize(std::vector<Firing>{{0.0, 0, 4, 1}}, 40e3, rt::ms(1.0)),
+  EXPECT_THROW((void)render(tag, std::vector<Firing>{{0.0, 0, 4, 1}}, 40e3, rt::ms(1.0)),
                PreconditionError);
-  EXPECT_THROW((void)tag.synthesize(std::vector<Firing>{{0.0, 0, 1, 4}}, 40e3, rt::ms(1.0)),
+  EXPECT_THROW((void)render(tag, std::vector<Firing>{{0.0, 0, 1, 4}}, 40e3, rt::ms(1.0)),
                PreconditionError);
   cfg.bits_per_axis = 0;
   EXPECT_THROW(TagArray{cfg}, PreconditionError);
@@ -231,7 +242,7 @@ TEST(TagArray, SinglePulseShape) {
   TagArray tag(cfg);
   const std::vector<Firing> schedule = {{rt::ms(1.0), 0, 1, -1}};
   const double fs = 40e3;
-  auto w = tag.synthesize(schedule, fs, rt::ms(10.0));
+  auto w = render(tag, schedule, fs, rt::ms(10.0));
   // Baseline: all relaxed pixels. I group: 2 modules * (-1) = -2 real;
   // Q group: 2 modules * (-j) => imag -2.
   EXPECT_NEAR(w[10].real(), -2.0, 0.05);
@@ -258,16 +269,16 @@ TEST(TagArray, PulseSuperpositionIsLinear)
   const double dur = rt::ms(12.0);
 
   TagArray both(cfg);
-  auto w_both = both.synthesize(
-      std::vector<Firing>{{rt::ms(1.0), 0, 1, -1}, {rt::ms(2.5), 1, 1, -1}}, fs, dur);
+  auto w_both =
+      render(both, std::vector<Firing>{{rt::ms(1.0), 0, 1, -1}, {rt::ms(2.5), 1, 1, -1}}, fs, dur);
 
   TagArray first(cfg);
-  auto w_first = first.synthesize(std::vector<Firing>{{rt::ms(1.0), 0, 1, -1}}, fs, dur);
+  auto w_first = render(first, std::vector<Firing>{{rt::ms(1.0), 0, 1, -1}}, fs, dur);
   TagArray second(cfg);
-  auto w_second = second.synthesize(std::vector<Firing>{{rt::ms(2.5), 1, 1, -1}}, fs, dur);
+  auto w_second = render(second, std::vector<Firing>{{rt::ms(2.5), 1, 1, -1}}, fs, dur);
 
   TagArray idle(cfg);
-  auto w_idle = idle.synthesize(std::vector<Firing>{}, fs, dur);
+  auto w_idle = render(idle, std::vector<Firing>{}, fs, dur);
 
   for (std::size_t i = 0; i < w_both.size(); ++i) {
     const auto expected = w_first[i] + w_second[i] - w_idle[i];
@@ -275,12 +286,34 @@ TEST(TagArray, PulseSuperpositionIsLinear)
   }
 }
 
+TEST(TagArray, ModulatedResponseIsFiringMinusIdle) {
+  // modulated_response renders the firing and the idle baseline on one
+  // tag (reset in between); it must equal the difference of two freshly
+  // built tags bit for bit, heterogeneity draw included.
+  TagConfig cfg;
+  cfg.dsm_order = 2;
+  cfg.heterogeneity = {0.05, 0.03, rt::deg_to_rad(2.0)};
+  cfg.seed = 9;
+  const std::vector<Firing> schedule = {{rt::ms(0.5), 0, 3, 1}, {rt::ms(1.0), 1, 2, 0}};
+  const double fs = 40e3;
+  const double dur = rt::ms(8.0);
+  TagArray fired(cfg);
+  TagArray idle(cfg);
+  const auto w_fired = render(fired, schedule, fs, dur);
+  const auto w_idle = render(idle, {}, fs, dur);
+  const auto response = modulated_response(cfg, schedule, fs, dur);
+  ASSERT_EQ(response.size(), w_fired.size());
+  for (std::size_t i = 0; i < response.size(); ++i)
+    ASSERT_EQ(response[i], w_fired[i] - w_idle[i]) << i;
+  for (const auto& v : modulated_response(cfg, {}, fs, dur)) ASSERT_EQ(v, sig::Complex{});
+}
+
 TEST(TagArray, QuadratureFiringLandsOnImaginaryAxis) {
   TagConfig cfg;
   cfg.dsm_order = 1;
   cfg.bits_per_axis = 1;
   TagArray tag(cfg);
-  auto w = tag.synthesize(std::vector<Firing>{{rt::ms(0.5), 0, -1, 1}}, 40e3, rt::ms(6.0));
+  auto w = render(tag, std::vector<Firing>{{rt::ms(0.5), 0, -1, 1}}, 40e3, rt::ms(6.0));
   const auto idx = w.index_at(rt::ms(1.0));
   EXPECT_GT(w[idx].imag(), -0.5);   // Q pixel swung up
   EXPECT_NEAR(w[idx].real(), -1.0, 0.05);  // I pixel untouched
@@ -321,12 +354,12 @@ TEST(TagArray, ValidatesConfigAndSchedule) {
   EXPECT_THROW(TagArray{bad}, PreconditionError);
   TagConfig cfg;
   TagArray tag(cfg);
-  EXPECT_THROW((void)tag.synthesize(std::vector<Firing>{{0.0, 99, 1, 1}}, 40e3, rt::ms(1.0)),
+  EXPECT_THROW((void)render(tag, std::vector<Firing>{{0.0, 99, 1, 1}}, 40e3, rt::ms(1.0)),
                PreconditionError);
   // Unsorted schedule rejected.
-  EXPECT_THROW((void)tag.synthesize(
-                   std::vector<Firing>{{rt::ms(2.0), 0, 1, 1}, {rt::ms(1.0), 1, 1, 1}}, 40e3,
-                   rt::ms(5.0)),
+  EXPECT_THROW((void)render(tag,
+                            std::vector<Firing>{{rt::ms(2.0), 0, 1, 1}, {rt::ms(1.0), 1, 1, 1}},
+                            40e3, rt::ms(5.0)),
                PreconditionError);
 }
 

@@ -20,6 +20,7 @@
 #include "phy/preamble.h"
 #include "phy/training.h"
 #include "signal/awgn.h"
+#include "signal/scrambler.h"
 
 namespace rt::phy {
 namespace {
@@ -52,7 +53,9 @@ struct TestChannel {
   [[nodiscard]] WaveformSource source() const {
     return [*this](std::span<const lcm::Firing> firings, double duration) {
       lcm::TagArray tag(tag_cfg);
-      auto w = tag.synthesize(firings, 40e3, duration);
+      lcm::SynthScratch scratch;
+      sig::IqWaveform w;
+      tag.synthesize_into(firings, 40e3, duration, scratch, w);
       const auto rot = optics::roll_rotation(roll_rad) * gain;
       for (auto& v : w.samples) v *= rot;
       if (noise_sigma > 0.0) {
@@ -71,7 +74,9 @@ TEST(Constellation, MapUnmapRoundTrip) {
   for (int trial = 0; trial < 50; ++trial) {
     const auto bits = rng.bits(4);
     const auto sym = c.map(bits);
-    EXPECT_EQ(c.unmap(sym), bits);
+    std::vector<std::uint8_t> unmapped;
+    c.unmap_into(sym, unmapped);
+    EXPECT_EQ(unmapped, bits);
   }
 }
 
@@ -89,8 +94,10 @@ TEST(Constellation, GrayAdjacency) {
   // Adjacent levels differ in exactly one payload bit.
   const Constellation c(2, false);
   for (int level = 0; level + 1 < 4; ++level) {
-    const auto a = c.unmap({level, -1});
-    const auto b = c.unmap({level + 1, -1});
+    std::vector<std::uint8_t> a;
+    std::vector<std::uint8_t> b;
+    c.unmap_into({level, -1}, a);
+    c.unmap_into({level + 1, -1}, b);
     EXPECT_EQ(hamming_distance(a, b), 1u);
   }
 }
@@ -164,7 +171,9 @@ TEST(Modulator, PacketScheduleShape) {
   const Modulator mod(p);
   Rng rng(5);
   const auto bits = rng.bits(80);  // 40 slots at 2 bits/slot
-  const auto pkt = mod.modulate(bits);
+  ModulatorWorkspace ws;
+  PacketSchedule pkt;
+  mod.modulate_into(bits, ws, pkt);
   EXPECT_EQ(pkt.layout.payload_slots, 40);
   EXPECT_EQ(pkt.payload_symbols.size(), 40u);
   EXPECT_GT(pkt.duration_s, 0.0);
@@ -180,15 +189,15 @@ TEST(Modulator, ScramblingIsInvertedByDescramble) {
   const Modulator mod(p);
   Rng rng(7);
   const auto bits = rng.bits(64);
-  const auto pkt = mod.modulate(bits);
-  // Reconstruct the scrambled stream from the symbols and descramble.
+  ModulatorWorkspace ws;
+  PacketSchedule pkt;
+  mod.modulate_into(bits, ws, pkt);
+  // Reconstruct the scrambled stream from the symbols and descramble it
+  // with the receiver's default-seeded scrambler.
   std::vector<std::uint8_t> recovered;
-  for (const auto& s : pkt.payload_symbols) {
-    const auto b = mod.constellation().unmap(s);
-    recovered.insert(recovered.end(), b.begin(), b.end());
-  }
-  const auto plain = mod.descramble(recovered);
-  for (std::size_t i = 0; i < bits.size(); ++i) EXPECT_EQ(plain[i], bits[i]) << i;
+  for (const auto& s : pkt.payload_symbols) mod.constellation().unmap_into(s, recovered);
+  sig::Scrambler{}.apply_in_place(recovered);
+  for (std::size_t i = 0; i < bits.size(); ++i) EXPECT_EQ(recovered[i], bits[i]) << i;
 }
 
 TEST(PulseBank, IndexValidation) {
@@ -206,20 +215,18 @@ TEST(Fingerprints, TemplatesPredictIsolatedPulse) {
   ASSERT_EQ(bank.modules(), 2 * p.dsm_order);
 
   // Synthesize an isolated firing of I module 1 and compare.
-  lcm::TagArray tag(p.tag_config());
   const double t0 = p.symbol_duration_s();  // settle one symbol first
   const int max_level = p.levels_per_axis() - 1;
   std::vector<lcm::Firing> fire = {{t0 + 1 * p.slot_s, 1, max_level, -1}};
-  auto active = tag.synthesize(fire, p.sample_rate_hz, t0 + 3 * p.symbol_duration_s());
-  lcm::TagArray idle(p.tag_config());
-  auto base = idle.synthesize({}, p.sample_rate_hz, t0 + 3 * p.symbol_duration_s());
+  const auto response = lcm::modulated_response(p.tag_config(), fire, p.sample_rate_hz,
+                                                t0 + 3 * p.symbol_duration_s());
 
   const auto tmpl = bank.pulse(1, 0b001);  // history 0, fired
-  const auto begin = active.index_at(t0 + 1 * p.slot_s);
+  const auto begin = static_cast<std::size_t>((t0 + 1 * p.slot_s) * p.sample_rate_hz + 0.5);
   double err = 0.0;
   double ref = 0.0;
   for (std::size_t k = 0; k < tmpl.size(); ++k) {
-    err += std::norm((active[begin + k] - base[begin + k]) - tmpl[k]);
+    err += std::norm(response[begin + k] - tmpl[k]);
     ref += std::norm(tmpl[k]);
   }
   EXPECT_LT(std::sqrt(err / ref), 0.02);
@@ -262,7 +269,8 @@ TEST(Preamble, DetectsOffsetRotationAndGain) {
   const double duration = (pad_slots + p.preamble_slots + 2 * p.dsm_order) * p.slot_s;
   const auto rx = src(firings, duration);
 
-  const auto det = proc.detect(rx);
+  PreambleWorkspace ws;
+  const auto det = proc.detect(rx, 0, ws);
   ASSERT_TRUE(det.found) << "residual " << det.normalized_residual;
   EXPECT_EQ(det.start_sample, static_cast<std::size_t>(pad_slots) * p.samples_per_slot());
   // a must undo the rotation and scaling: a ~ e^{-j 2 roll} / 0.7.
@@ -275,11 +283,12 @@ TEST(Preamble, CorrectionRestoresReferenceFrame) {
   const auto p = test_params();
   const PreambleProcessor proc(p);
   TestChannel ch{p.tag_config(), rt::deg_to_rad(77.0), 1.3, 0.0};
-  const auto rx = ch.source()(preamble_firings(p, 0),
-                              (p.preamble_slots + p.dsm_order) * p.slot_s);
-  const auto det = proc.detect(rx);
+  auto corrected = ch.source()(preamble_firings(p, 0),
+                               (p.preamble_slots + p.dsm_order) * p.slot_s);
+  PreambleWorkspace ws;
+  const auto det = proc.detect(corrected, 0, ws);
   ASSERT_TRUE(det.found);
-  const auto corrected = proc.correct(rx, det);
+  proc.correct_in_place(corrected, det);
   const auto& ref = proc.reference();
   double err = 0.0;
   double refe = 0.0;
@@ -296,7 +305,8 @@ TEST(Preamble, SurvivesNoise) {
   TestChannel ch{p.tag_config(), rt::deg_to_rad(10.0), 1.0, 0.15};
   const auto rx = ch.source()(preamble_firings(p, 3),
                               (3 + p.preamble_slots + p.dsm_order) * p.slot_s);
-  const auto det = proc.detect(rx);
+  PreambleWorkspace ws;
+  const auto det = proc.detect(rx, 0, ws);
   ASSERT_TRUE(det.found);
   EXPECT_NEAR(static_cast<double>(det.start_sample),
               static_cast<double>(3 * p.samples_per_slot()), 1.0);
@@ -308,7 +318,8 @@ TEST(Preamble, NoFalseDetectionOnNoise) {
   Rng rng(13);
   sig::IqWaveform noise(p.sample_rate_hz, 4000);
   sig::add_noise_sigma(noise, 1.0, rng);
-  const auto det = proc.detect(noise);
+  PreambleWorkspace ws;
+  const auto det = proc.detect(noise, 0, ws);
   EXPECT_FALSE(det.found);
 }
 
@@ -329,11 +340,15 @@ struct EndToEnd {
     const Modulator mod(p);
     Rng rng(bit_seed);
     const auto bits = rng.bits(n_bits);
-    const auto pkt = mod.modulate(bits);
-    const auto rx = ch.source()(pkt.firings, pkt.duration_s + p.symbol_duration_s());
+    ModulatorWorkspace mod_ws;
+    PacketSchedule pkt;
+    mod.modulate_into(bits, mod_ws, pkt);
+    auto rx = ch.source()(pkt.firings, pkt.duration_s + p.symbol_duration_s());
     auto o = opts;
     o.search_limit = 4 * p.samples_per_slot();
-    const auto res = demod.demodulate(rx, pkt.layout.payload_slots, o);
+    DemodWorkspace demod_ws;
+    DemodResult res;
+    demod.demodulate_into(rx, pkt.layout.payload_slots, o, demod_ws, res);
     if (!res.preamble_found) return {false, 1.0};
     std::size_t errors = 0;
     for (std::size_t i = 0; i < bits.size(); ++i) errors += (res.bits[i] != bits[i]) ? 1 : 0;
@@ -470,14 +485,19 @@ TEST(Training, OnlineReconstructionMatchesOracleTemplates) {
   // Received packet (noiseless) -> detect -> correct -> online train.
   const Modulator mod(p);
   Rng rng(31);
-  const auto pkt = mod.modulate(rng.bits(40));
-  const auto rx = ch.source()(pkt.firings, pkt.duration_s + p.symbol_duration_s());
+  ModulatorWorkspace mod_ws;
+  PacketSchedule pkt;
+  mod.modulate_into(rng.bits(40), mod_ws, pkt);
+  auto corrected = ch.source()(pkt.firings, pkt.duration_s + p.symbol_duration_s());
   const Demodulator demod(p, make_offline_model(p));
-  const auto det = demod.preamble().detect(rx, 2 * p.samples_per_slot());
+  PreambleWorkspace preamble_ws;
+  const auto det = demod.preamble().detect(corrected, 2 * p.samples_per_slot(), preamble_ws);
   ASSERT_TRUE(det.found);
-  const auto corrected = demod.preamble().correct(rx, det);
-  const auto trained = OnlineTrainer::train(p, demod.offline_model(), pkt.layout, corrected,
-                                            det.start_sample);
+  demod.preamble().correct_in_place(corrected, det);
+  TrainingWorkspace training_ws;
+  PulseBank trained;
+  OnlineTrainer::train_into(p, demod.offline_model(), pkt.layout, corrected, det.start_sample,
+                            trained, training_ws);
 
   const auto oracle = collect_fingerprints(p, ch.source());
   // Compare the dominant (fired, history 0) template of every module.

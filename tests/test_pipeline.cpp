@@ -9,6 +9,7 @@
 #include "common/units.h"
 #include "phy/demodulator.h"
 #include "phy/modulator.h"
+#include "signal/scrambler.h"
 #include "sim/link_sim.h"
 #include "sim/packet_workspace.h"
 
@@ -126,14 +127,23 @@ TEST(PacketPipeline, OracleTemplatePathMatchesThroughWorkspace) {
 }
 
 TEST(PacketPipeline, ModulateIntoReplaysPrefixAcrossPayloads) {
+  // A workspace and schedule reused across payloads of changing size must
+  // rebuild exactly what a fresh pair builds. They start dirty: a longer
+  // packet whose firings were then shifted in place, as the simulator's
+  // start padding does, so the prefix must be replayed, not accumulated.
   const auto p = fast_params();
   const phy::Modulator mod(p);
   phy::ModulatorWorkspace ws;
   phy::PacketSchedule reused;
+  Rng dirt(5);
+  mod.modulate_into(dirt.bits(200), ws, reused);
+  for (auto& f : reused.firings) f.time_s += 3 * p.slot_s;
   Rng rng(77);
   for (int trial = 0; trial < 4; ++trial) {
     const auto bits = rng.bits(trial == 2 ? 48 : 16);  // includes a size change
-    const auto ref = mod.modulate(bits);
+    phy::ModulatorWorkspace fresh_ws;
+    phy::PacketSchedule ref;
+    mod.modulate_into(bits, fresh_ws, ref);
     mod.modulate_into(bits, ws, reused);
     ASSERT_EQ(ref.firings.size(), reused.firings.size());
     for (std::size_t i = 0; i < ref.firings.size(); ++i) {
@@ -160,18 +170,28 @@ TEST(PacketPipeline, DescramblePathRoundTripsThroughDemodOptions) {
   const phy::Modulator mod(p);
   Rng rng(13);
   const auto bits = rng.bits(16);
-  const auto pkt = mod.modulate(bits);
+  phy::ModulatorWorkspace mod_ws;
+  phy::PacketSchedule pkt;
+  mod.modulate_into(bits, mod_ws, pkt);
   Channel ch(p, tag, fast_channel(40.0, 2));
   const auto rx = ch.noiseless_source()(pkt.firings, pkt.duration_s + p.symbol_duration_s());
 
+  // demodulate_into corrects its input in place, so each run gets a copy.
   const phy::Demodulator demod(p, train_offline_model(p, tag, {0.0}));
+  phy::DemodWorkspace ws;
   phy::DemodOptions scrambled_opts;
   scrambled_opts.descramble = false;
-  const auto raw = demod.demodulate(rx, pkt.layout.payload_slots, scrambled_opts);
-  const auto cooked = demod.demodulate(rx, pkt.layout.payload_slots, {});
+  auto rx_raw = rx;
+  phy::DemodResult raw;
+  demod.demodulate_into(rx_raw, pkt.layout.payload_slots, scrambled_opts, ws, raw);
+  auto rx_cooked = rx;
+  phy::DemodResult cooked;
+  demod.demodulate_into(rx_cooked, pkt.layout.payload_slots, {}, ws, cooked);
   ASSERT_TRUE(raw.preamble_found);
   ASSERT_TRUE(cooked.preamble_found);
-  EXPECT_EQ(mod.descramble(raw.bits), cooked.bits);
+  auto descrambled = raw.bits;
+  sig::Scrambler{}.apply_in_place(descrambled);
+  EXPECT_EQ(descrambled, cooked.bits);
   EXPECT_NE(raw.bits, cooked.bits);  // the scrambler is not the identity here
   for (std::size_t i = 0; i < bits.size(); ++i) EXPECT_EQ(cooked.bits[i], bits[i]) << i;
 }

@@ -30,7 +30,9 @@ TEST_P(ConstellationProperty, MapUnmapIsIdentityOverAllWords) {
   for (std::uint32_t word = 0; word < (1U << n); ++word) {
     std::vector<std::uint8_t> in(n);
     for (int b = 0; b < n; ++b) in[b] = (word >> b) & 1U;
-    EXPECT_EQ(c.unmap(c.map(in)), in) << "word " << word;
+    std::vector<std::uint8_t> out;
+    c.unmap_into(c.map(in), out);
+    EXPECT_EQ(out, in) << "word " << word;
   }
 }
 
@@ -154,18 +156,21 @@ TEST_P(EndToEndProperty, NoiselessRoundTripIsExact) {
   const phy::Modulator mod(p);
   Rng rng(77);
   const auto bits = rng.bits(static_cast<std::size_t>(8 * p.bits_per_slot()));
-  const auto pkt = mod.modulate(bits);
+  phy::ModulatorWorkspace mod_ws;
+  phy::PacketSchedule pkt;
+  mod.modulate_into(bits, mod_ws, pkt);
 
   sim::ChannelConfig chc;
   chc.pose.roll_rad = rt::deg_to_rad(15.0);
   sim::Channel channel(p, p.tag_config(), chc);
-  const auto rx =
-      channel.noiseless_source()(pkt.firings, pkt.duration_s + p.symbol_duration_s());
+  auto rx = channel.noiseless_source()(pkt.firings, pkt.duration_s + p.symbol_duration_s());
 
   const phy::Demodulator demod(p, sim::train_offline_model(p, p.tag_config()));
   phy::DemodOptions opts;
   opts.search_limit = 2 * p.samples_per_slot();
-  const auto res = demod.demodulate(rx, pkt.layout.payload_slots, opts);
+  phy::DemodWorkspace ws;
+  phy::DemodResult res;
+  demod.demodulate_into(rx, pkt.layout.payload_slots, opts, ws, res);
   ASSERT_TRUE(res.preamble_found);
   for (std::size_t i = 0; i < bits.size(); ++i) EXPECT_EQ(res.bits[i], bits[i]) << i;
 }
@@ -201,7 +206,8 @@ TEST_P(PreambleRollProperty, RotationEstimateMatchesPhysicalRoll) {
   sim::Channel channel(p, p.tag_config(), chc);
   const auto rx = channel.noiseless_source()(
       phy::preamble_firings(p, 0), (p.preamble_slots + p.dsm_order) * p.slot_s);
-  const auto det = pre.detect(rx);
+  phy::PreambleWorkspace ws;
+  const auto det = pre.detect(rx, 0, ws);
   ASSERT_TRUE(det.found) << roll_deg;
   // a must rotate by -2 * roll (mod 2 pi).
   const double got = std::arg(det.a);

@@ -171,13 +171,17 @@ TEST(Scrambler, RoundTripIdentity) {
   Rng rng(47);
   const auto bits = rng.bits(1024);
   Scrambler sc(0x55);
-  EXPECT_EQ(sc.apply(sc.apply(bits)), bits);
+  auto twice = bits;
+  sc.apply_in_place(twice);
+  EXPECT_NE(twice, bits);
+  sc.apply_in_place(twice);
+  EXPECT_EQ(twice, bits);
 }
 
 TEST(Scrambler, WhitensConstantInput) {
-  const std::vector<std::uint8_t> zeros(4096, 0);
+  std::vector<std::uint8_t> out(4096, 0);
   Scrambler sc;
-  const auto out = sc.apply(zeros);
+  sc.apply_in_place(out);
   std::size_t ones = 0;
   for (const auto b : out) ones += b;
   // Keystream of a 7-bit LFSR over 4096 bits is near balanced.
@@ -212,7 +216,10 @@ TEST(Correlate, CenteredVariantFlatOnConstantSignal) {
   // centred correlation must return 0, not NaN or spurious peaks.
   std::vector<Complex> ref(8, Complex(1.0, 0.0));
   std::vector<Complex> x(64, Complex(5.0, -2.0));
-  const auto corr = sliding_correlation_centered(x, ref);
+  SlidingScratch scratch;
+  std::vector<double> corr;
+  sliding_correlation_centered_into(x, make_centered_ref(ref), scratch, corr);
+  ASSERT_EQ(corr.size(), x.size() - ref.size() + 1);
   for (const auto c : corr) EXPECT_DOUBLE_EQ(c, 0.0);
 }
 
@@ -230,7 +237,9 @@ TEST(Correlate, CenteredMatchesPlainOnZeroMeanData) {
   for (auto& v : x) v = Complex(rng.gaussian(0.0, 0.1), rng.gaussian(0.0, 0.1));
   for (std::size_t i = 0; i < ref.size(); ++i) x[90 + i] += ref[i];
   const auto plain = sliding_correlation(x, ref);
-  const auto centred = sliding_correlation_centered(x, ref);
+  SlidingScratch scratch;
+  std::vector<double> centred;
+  sliding_correlation_centered_into(x, make_centered_ref(ref), scratch, centred);
   // Peaks coincide.
   const auto argmax = [](const std::vector<double>& v) {
     return std::distance(v.begin(), std::max_element(v.begin(), v.end()));
