@@ -43,10 +43,11 @@ struct Fixture {
     modulator.modulate_into(rng.bits(payload_bytes * 8), mod_ws, packet);
     rt::sim::ChannelConfig ch;
     ch.snr_override_db = 40.0;
-    rt::sim::Channel channel(p, p.tag_config(), ch);
+    const rt::sim::Channel channel(p, p.tag_config(), ch);
     rt::Rng noise_rng(ch.noise_seed);
-    auto src = channel.source_with(noise_rng);
-    rx = src(packet.firings, packet.duration_s + p.symbol_duration_s());
+    rt::lcm::SynthScratch scratch;
+    channel.synthesize_into(packet.firings, packet.duration_s + p.symbol_duration_s(), &noise_rng,
+                            scratch, rx);
   }
 };
 

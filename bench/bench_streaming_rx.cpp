@@ -127,12 +127,11 @@ int main() {
           : 0;
 
   // --- pure noise, same length: scan throughput and false alarms -------
-  auto realization = sim.channel().make_realization();
   Rng noise_rng(split_seed(ch.noise_seed, 0, 99));
   lcm::SynthScratch scratch;
   sig::IqWaveform idle;
   const double idle_duration = samples / p.sample_rate_hz;
-  realization.synthesize_into({}, idle_duration, &noise_rng, scratch, idle);
+  sim.channel().synthesize_into({}, idle_duration, &noise_rng, scratch, idle);
   stream::StreamingReceiver idle_rx(sim.demodulator(), opts);
   TruthSink idle_sink;
   const auto t1 = Clock::now();

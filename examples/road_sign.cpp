@@ -54,10 +54,12 @@ PassResult simulate_pass(double roll_rate_deg_s, double gain_drift_per_s, std::u
 
   const rt::phy::MobileModulator mod(p, mc);
   const auto pkt = mod.modulate(payload_bits);
-  rt::sim::Channel channel(p, p.tag_config(), ch);
+  const rt::sim::Channel channel(p, p.tag_config(), ch);
+  rt::lcm::SynthScratch scratch;
   rt::Rng noise_rng(ch.noise_seed);
-  auto src = channel.source_with(noise_rng);
-  const auto rx = src(pkt.firings, pkt.duration_s + p.symbol_duration_s());
+  rt::sig::IqWaveform rx;
+  channel.synthesize_into(pkt.firings, pkt.duration_s + p.symbol_duration_s(), &noise_rng, scratch,
+                          rx);
 
   const auto offline = rt::sim::train_offline_model(p, p.tag_config());
   const rt::phy::MobileDemodulator mobile(p, mc, offline);
@@ -70,10 +72,10 @@ PassResult simulate_pass(double roll_rate_deg_s, double gain_drift_per_s, std::u
       p.dsm_order;
   const rt::phy::MobileModulator mono_mod(p, mono);
   const auto mono_pkt = mono_mod.modulate(payload_bits);
-  rt::sim::Channel mono_channel(p, p.tag_config(), ch);
   rt::Rng mono_noise_rng(ch.noise_seed);
-  auto mono_src = mono_channel.source_with(mono_noise_rng);
-  const auto mono_rx = mono_src(mono_pkt.firings, mono_pkt.duration_s + p.symbol_duration_s());
+  rt::sig::IqWaveform mono_rx;
+  channel.synthesize_into(mono_pkt.firings, mono_pkt.duration_s + p.symbol_duration_s(),
+                          &mono_noise_rng, scratch, mono_rx);
   const rt::phy::MobileDemodulator mono_demod(p, mono, offline);
   const auto res_static = mono_demod.demodulate(mono_rx, mono_pkt);
 

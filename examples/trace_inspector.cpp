@@ -63,10 +63,12 @@ int main() {
   rt::sim::ChannelConfig ch;
   ch.snr_override_db = 30.0;
   ch.pose.roll_rad = rt::deg_to_rad(25.0);
-  rt::sim::Channel channel(p, p.tag_config(), ch);
+  const rt::sim::Channel channel(p, p.tag_config(), ch);
   rt::Rng noise_rng(ch.noise_seed);
-  auto source = channel.source_with(noise_rng);
-  const auto rx = source(pkt.firings, pkt.duration_s + p.symbol_duration_s());
+  rt::lcm::SynthScratch scratch;
+  rt::sig::IqWaveform rx;
+  channel.synthesize_into(pkt.firings, pkt.duration_s + p.symbol_duration_s(), &noise_rng, scratch,
+                          rx);
   rt::sim::write_trace_csv("packet_trace.csv", rx);
   std::printf("wrote packet_trace.csv (%zu samples, %.0f ms of DSM-PQAM air time)\n",
               rx.size(), rx.duration_s() * 1e3);

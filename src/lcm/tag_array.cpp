@@ -39,9 +39,6 @@ TagArray::TagArray(const TagConfig& config) : cfg_(config) {
   }
 
   const auto n_px = static_cast<std::size_t>(2 * l * bits);
-  bank_.drive.assign(n_px, 0.0);
-  bank_.c.assign(n_px, 0.0);
-  bank_.s.assign(n_px, 0.0);
   bank_.tau_charge.resize(n_px);
   bank_.tau_relax.resize(n_px);
   bank_.w.resize(n_px);
@@ -79,24 +76,18 @@ TagArray::TagArray(const TagConfig& config) : cfg_(config) {
   }
 }
 
-void TagArray::reset() {
-  std::fill(bank_.drive.begin(), bank_.drive.end(), 0.0);
-  std::fill(bank_.c.begin(), bank_.c.end(), 0.0);
-  std::fill(bank_.s.begin(), bank_.s.end(), 0.0);
-}
-
-void TagArray::apply_level(bool is_i, int module, int level) {
+void TagArray::apply_level(bool is_i, int module, int level, std::vector<double>& drive) const {
   const int bits = cfg_.bits_per_axis;
   RT_ENSURE(level >= 0 && level < (1 << bits), "drive level out of range");
   const std::size_t base = bank_base(is_i, module);
   for (int i = 0; i < bits; ++i) {
     const int bit = bits - 1 - i;
-    bank_.drive[base + static_cast<std::size_t>(i)] = ((level >> bit) & 1) != 0 ? 1.0 : 0.0;
+    drive[base + static_cast<std::size_t>(i)] = ((level >> bit) & 1) != 0 ? 1.0 : 0.0;
   }
 }
 
 void TagArray::synthesize_into(std::span<const Firing> schedule, double fs, double duration_s,
-                               SynthScratch& scratch, sig::IqWaveform& out) {
+                               SynthScratch& scratch, sig::IqWaveform& out) const {
   RT_TRACE_SPAN("lc_synthesize");
   RT_ENSURE(fs > 0.0 && duration_s > 0.0, "sample rate and duration must be positive");
   RT_ENSURE(std::is_sorted(schedule.begin(), schedule.end(),
@@ -140,7 +131,11 @@ void TagArray::synthesize_into(std::span<const Firing> schedule, double fs, doub
   for (std::size_t e = 0; e < events.size(); ++e)
     event_sample[e] = static_cast<std::size_t>(std::llround(events[e].t * fs));
   std::size_t next_event = 0;
-  const std::size_t n_px = bank_.c.size();
+  // The idle tag: every cell relaxed (c = s = 0) and undriven.
+  const std::size_t n_px = bank_.w.size();
+  scratch.drive.assign(n_px, 0.0);
+  scratch.c.assign(n_px, 0.0);
+  scratch.s.assign(n_px, 0.0);
   const kernels::LcBankParams bp{bank_.tau_charge.data(), bank_.tau_relax.data(),
                                  bank_.tau_slow, bank_.tau_memory, bank_.k_mem};
   const int bits = cfg_.bits_per_axis;
@@ -152,7 +147,7 @@ void TagArray::synthesize_into(std::span<const Firing> schedule, double fs, doub
   while (i < n) {
     while (next_event < events.size() && event_sample[next_event] <= i) {
       const auto& e = events[next_event];
-      apply_level(e.is_i, e.module, e.level);
+      apply_level(e.is_i, e.module, e.level, scratch.drive);
       ++next_event;
     }
     // Drive is now constant until the next event (or the end), so the
@@ -166,7 +161,7 @@ void TagArray::synthesize_into(std::span<const Firing> schedule, double fs, doub
     // polarization sum below keeps a fixed accumulation order (pixels into
     // a module sum, module gain, then the I group followed by the Q
     // group), which the golden fixtures depend on bit for bit.
-    kernels::lc_step_run(n_px, run, dt, bank_.drive.data(), bank_.c.data(), bank_.s.data(),
+    kernels::lc_step_run(n_px, run, dt, scratch.drive.data(), scratch.c.data(), scratch.s.data(),
                          scratch.c_run.data(), bp);
     for (std::size_t t = 0; t < run; ++t) {
       const double* crow = scratch.c_run.data() + t * n_px;
@@ -205,12 +200,11 @@ double TagArray::drive_energy(std::span<const Firing> schedule) const {
 std::vector<sig::Complex> modulated_response(const TagConfig& config,
                                              std::span<const Firing> schedule, double fs,
                                              double duration_s) {
-  TagArray tag(config);
+  const TagArray tag(config);
   SynthScratch scratch;
   sig::IqWaveform active;
   sig::IqWaveform idle;
   tag.synthesize_into(schedule, fs, duration_s, scratch, active);
-  tag.reset();
   tag.synthesize_into({}, fs, duration_s, scratch, idle);
   std::vector<sig::Complex> out(active.size());
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = active[i] - idle[i];

@@ -14,7 +14,10 @@
 // The array is a time-stepped simulator: the PHY modulator schedules
 // firings (module + drive level + time); synthesize_into() integrates
 // every LC cell and emits the complex two-PDR baseband waveform the reader
-// would see at unit link gain. Roll misalignment, link gain, noise and
+// would see at unit link gain. A TagArray holds only the pixel hardware,
+// drawn once at construction; the LC state of a synthesis lives in the
+// caller's SynthScratch and starts relaxed, so one const TagArray serves
+// every packet and thread. Roll misalignment, link gain, noise and
 // frontend effects are applied downstream (sim / frontend layers).
 #pragma once
 
@@ -74,9 +77,10 @@ struct Firing {
   int level_q = 0;
 };
 
-/// Reusable event-expansion scratch for TagArray::synthesize_into(). A
-/// scratch held across packets stops allocating once it has seen the
-/// largest schedule; every buffer is fully overwritten per synthesis.
+/// Reusable per-synthesis state for TagArray::synthesize_into(): the event
+/// expansion and every pixel's LC state. A scratch held across packets
+/// stops allocating once it has seen the largest schedule; every buffer is
+/// fully overwritten per synthesis.
 struct SynthScratch {
   struct Event {
     double t;
@@ -88,6 +92,11 @@ struct SynthScratch {
   std::vector<Event> events;
   std::vector<std::size_t> event_sample;
   std::vector<double> c_run;  ///< per-sample LC alignment rows for one segment
+  // Per-pixel LC state in bank order, relaxed (all zero) at the start of
+  // every synthesis.
+  std::vector<double> drive;  ///< 1.0 driven / 0.0 released
+  std::vector<double> c;      ///< LC alignment state
+  std::vector<double> s;      ///< LC surface-memory state
 };
 
 class TagArray {
@@ -109,16 +118,10 @@ class TagArray {
   /// schedule (must be sorted by time) and writes the complex baseband
   /// waveform at sample rate `fs` into `out` (capacity reused), expanding
   /// events into `scratch`. The waveform includes the static bias of
-  /// relaxed pixels (a DC term the receiver regression removes). Starts
-  /// from the tag's current LC state -- callers reusing one TagArray
-  /// across packets must reset() first (reset() provably restores the
-  /// as-constructed state, so reset+synthesize_into is bit-identical to a
-  /// fresh tag).
+  /// relaxed pixels (a DC term the receiver regression removes). Every
+  /// call starts from the idle tag: each cell relaxed and undriven.
   void synthesize_into(std::span<const Firing> schedule, double fs, double duration_s,
-                       SynthScratch& scratch, sig::IqWaveform& out);
-
-  /// Resets every LC cell to the relaxed state.
-  void reset();
+                       SynthScratch& scratch, sig::IqWaveform& out) const;
 
   [[nodiscard]] const TagConfig& config() const { return cfg_; }
 
@@ -134,14 +137,11 @@ class TagArray {
   [[nodiscard]] std::span<const double> pixel_weights() const { return bank_.w; }
 
  private:
-  /// Struct-of-arrays LC state and static parameters of every pixel, in
-  /// bank order [I modules x pixels, then Q modules x pixels].
-  /// synthesize_into() advances ALL cells per sample through one batched
-  /// kernels::lc_step call.
+  /// Struct-of-arrays static parameters of every pixel, in bank order
+  /// [I modules x pixels, then Q modules x pixels]. synthesize_into()
+  /// advances ALL cells per sample through one batched kernels::lc_step
+  /// call.
   struct PixelBank {
-    std::vector<double> drive;       ///< 1.0 driven / 0.0 released, per pixel
-    std::vector<double> c;           ///< LC alignment state
-    std::vector<double> s;           ///< LC surface-memory state
     std::vector<double> tau_charge;  ///< per-pixel (module-granular) time constants
     std::vector<double> tau_relax;
     std::vector<double> w;           ///< gain * area amplitude weight
@@ -160,7 +160,7 @@ class TagArray {
 
   /// Writes the binary decomposition of `level` into the drive lanes of
   /// one module (pixel 0, the largest, carries the top bit).
-  void apply_level(bool is_i, int module, int level);
+  void apply_level(bool is_i, int module, int level, std::vector<double>& drive) const;
 
   TagConfig cfg_;
   /// Yaw illumination gradient per module position, shared by the I and

@@ -10,26 +10,6 @@
 
 namespace rt::sig {
 
-/// Normalized cross-correlation magnitude of `ref` against every alignment
-/// of `x` (output length: x.size() - ref.size() + 1). The magnitude is
-/// rotation-invariant, which matters because an uncorrected polarization
-/// misalignment rotates the whole complex signal.
-[[nodiscard]] inline std::vector<double> sliding_correlation(std::span<const Complex> x,
-                                                             std::span<const Complex> ref) {
-  if (ref.empty() || x.size() < ref.size()) return {};
-  const std::size_t n = x.size() - ref.size() + 1;
-  double ref_energy = 0.0;
-  for (const auto& r : ref) ref_energy += std::norm(r);
-  std::vector<double> out(n, 0.0);
-  if (ref_energy == 0.0) return out;
-  for (std::size_t t = 0; t < n; ++t) {
-    const Complex acc = kernels::cdotc(ref.size(), ref.data(), x.data() + t);
-    const double x_energy = kernels::sum_norm_cplx(ref.size(), x.data() + t);
-    out[t] = x_energy > 0.0 ? std::abs(acc) / std::sqrt(ref_energy * x_energy) : 0.0;
-  }
-  return out;
-}
-
 /// A reference waveform pre-centred (zero mean) with its energy cached, so
 /// repeated correlations against the same reference skip the per-call
 /// centring pass. Build once with make_centered_ref().

@@ -1,6 +1,7 @@
 #include "sim/channel.h"
 
-#include <atomic>
+#include <algorithm>
+#include <array>
 #include <utility>
 
 #include "common/error.h"
@@ -17,38 +18,14 @@ double ChannelConfig::snr_db() const {
   return budget.snr_db_at(pose.distance_m) - optics::LinkBudget::yaw_loss_db(pose.yaw_rad);
 }
 
-std::uint64_t next_channel_id() {
-  // rt-check: sync-ok (process-wide id counter; channels are built from any thread)
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-void ChannelRealization::synthesize_into(std::span<const lcm::Firing> firings, double duration_s,
-                                         Rng* noise_rng, lcm::SynthScratch& scratch,
-                                         sig::IqWaveform& out) {
-  RT_TRACE_SPAN("channel");
-  // reset() restores the as-constructed LC state, so a reused realization
-  // renders exactly what a freshly built tag would.
-  tag_.reset();
-  tag_.synthesize_into(firings, sample_rate_hz_, duration_s, scratch, out);
-  // Gain chain split into a (scalar, transcendental-heavy) gain fill and a
-  // batched complex scale; `out[i] *= g` and cscale apply the identical
-  // complex product per sample.
-  gain_buf_.resize(out.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const double t = static_cast<double>(i) / sample_rate_hz_;
-    sig::Complex g = rot_ * mobility_.gain(t);
-    if (dynamics_.any()) {
-      g *= optics::roll_rotation(rt::deg_to_rad(dynamics_.roll_rate_deg_s) * t);
-      g *= std::max(0.05, 1.0 + dynamics_.gain_drift_per_s * t);
-    }
-    gain_buf_[i] = g;
-  }
-  kernels::cscale(out.size(), out.samples.data(), gain_buf_.data());
-  if (sigma_ > 0.0 && noise_rng != nullptr) sig::add_noise_sigma(out, sigma_, *noise_rng);
-}
-
 namespace {
+
+/// The tag hardware `tag` seen at `pose`: yaw distorts the LC response
+/// (roll acts downstream, in the gain chain).
+lcm::TagConfig posed(lcm::TagConfig tag, const Pose& pose) {
+  tag.yaw_rad = pose.yaw_rad;
+  return tag;
+}
 
 /// Mean power of (preamble waveform - idle baseline) at unit gain: the
 /// modulated signal power defining SNR for a PHY configuration.
@@ -61,14 +38,45 @@ double reference_power(const phy::PhyParams& params, const lcm::TagConfig& tag_c
   return p / static_cast<double>(response.size());
 }
 
+/// The one render path: `tag` synthesizes `firings` at `fs`, every sample
+/// takes `motion`'s gain chain (pose roll, mobility ripple, dynamics), then
+/// AWGN of per-axis `sigma` from `noise_rng` when both are set.
+void render(const lcm::TagArray& tag, double fs, const ChannelConfig& motion, double sigma,
+            Rng* noise_rng, std::span<const lcm::Firing> firings, double duration_s,
+            lcm::SynthScratch& scratch, sig::IqWaveform& out) {
+  RT_TRACE_SPAN("channel");
+  tag.synthesize_into(firings, fs, duration_s, scratch, out);
+  // Gain chain split into a (scalar, transcendental-heavy) gain fill and a
+  // batched complex scale, one stack block at a time; `out[i] *= g` and
+  // cscale apply the identical complex product per sample.
+  const sig::Complex rot = optics::roll_rotation(motion.pose.roll_rad);
+  const ChannelDynamics& dyn = motion.dynamics;
+  constexpr std::size_t kBlock = 256;
+  std::array<sig::Complex, kBlock> gain;
+  for (std::size_t i0 = 0; i0 < out.size(); i0 += kBlock) {
+    const std::size_t n = std::min(kBlock, out.size() - i0);
+    for (std::size_t k = 0; k < n; ++k) {
+      const double t = static_cast<double>(i0 + k) / fs;
+      sig::Complex g = rot * motion.mobility.gain(t);
+      if (dyn.any()) {
+        g *= optics::roll_rotation(rt::deg_to_rad(dyn.roll_rate_deg_s) * t);
+        g *= std::max(0.05, 1.0 + dyn.gain_drift_per_s * t);
+      }
+      gain[k] = g;
+    }
+    kernels::cscale(n, out.samples.data() + i0, gain.data());
+  }
+  if (sigma > 0.0 && noise_rng != nullptr) sig::add_noise_sigma(out, sigma, *noise_rng);
+}
+
 }  // namespace
 
 Channel::Channel(const phy::PhyParams& params, lcm::TagConfig tag_config,
                  const ChannelConfig& config)
-    : params_(params), tag_cfg_(tag_config), cfg_(config) {
+    : params_(params), cfg_(config), tag_(posed(tag_config, config.pose)) {
   params_.validate();
   cfg_.pose.validate();
-  ref_power_ = reference_power(params_, posed_tag_config(cfg_.pose));
+  ref_power_ = reference_power(params_, tag_.config());
   RT_ENSURE(ref_power_ > 0.0, "tag configuration produces no modulated signal power");
   // Total per-axis noise: receiver AWGN realizing the target SNR plus the
   // ambient shot-noise floor (complex noise splits across the two axes).
@@ -79,45 +87,24 @@ Channel::Channel(const phy::PhyParams& params, lcm::TagConfig tag_config,
   RT_DCHECK_FINITE(sigma_);
 }
 
-lcm::TagConfig Channel::posed_tag_config(const Pose& pose) const {
-  lcm::TagConfig cfg = tag_cfg_;
-  cfg.yaw_rad = pose.yaw_rad;
-  return cfg;
+void Channel::synthesize_into(std::span<const lcm::Firing> firings, double duration_s,
+                              Rng* noise_rng, lcm::SynthScratch& scratch,
+                              sig::IqWaveform& out) const {
+  render(tag_, params_.sample_rate_hz, cfg_, sigma_, noise_rng, firings, duration_s, scratch, out);
 }
 
 phy::WaveformSource Channel::noiseless_source_at(const Pose& pose) const {
-  // A realization with unit mobility, frozen dynamics and zero noise
-  // multiplies every sample by exactly `rot` -- the original noiseless
-  // source arithmetic.
-  ChannelRealization real(posed_tag_config(pose), optics::roll_rotation(pose.roll_rad),
-                          params_.sample_rate_hz, MobilityScenario::none(), ChannelDynamics{},
-                          0.0, id_.value);
-  return [real = std::move(real)](std::span<const lcm::Firing> firings,
-                                  double duration) mutable {
+  // A default ChannelConfig has no mobility ripple and frozen dynamics, so
+  // the gain chain multiplies every sample by exactly the pose's rotation.
+  ChannelConfig still;
+  still.pose = pose;
+  return [tag = lcm::TagArray(posed(tag_.config(), pose)), fs = params_.sample_rate_hz,
+          still = std::move(still)](std::span<const lcm::Firing> firings, double duration) {
     lcm::SynthScratch scratch;
     sig::IqWaveform w;
-    real.synthesize_into(firings, duration, nullptr, scratch, w);
+    render(tag, fs, still, 0.0, nullptr, firings, duration, scratch, w);
     return w;
   };
-}
-
-phy::WaveformSource Channel::noiseless_source() const {
-  return noiseless_source_at(cfg_.pose);
-}
-
-phy::WaveformSource Channel::source_with(Rng& noise_rng) const {
-  return [&noise_rng, real = make_realization()](std::span<const lcm::Firing> firings,
-                                                 double duration) mutable {
-    lcm::SynthScratch scratch;
-    sig::IqWaveform w;
-    real.synthesize_into(firings, duration, &noise_rng, scratch, w);
-    return w;
-  };
-}
-
-ChannelRealization Channel::make_realization() const {
-  return {posed_tag_config(cfg_.pose), optics::roll_rotation(cfg_.pose.roll_rad),
-          params_.sample_rate_hz, cfg_.mobility, cfg_.dynamics, sigma_, id_.value};
 }
 
 }  // namespace rt::sim

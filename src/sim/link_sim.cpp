@@ -11,17 +11,17 @@ namespace rt::sim {
 
 namespace {
 
-phy::OfflineModel build_offline_model(const phy::PhyParams& params, const Channel& channel,
-                                      const SimOptions& opts, const ChannelConfig& ch_cfg) {
-  if (opts.shared_offline_model) return *opts.shared_offline_model;
+/// Offline training over `yaws_deg`: one noiseless, rotation-free source
+/// of `channel`'s tag per yaw (a source reads only the pose's yaw and roll).
+phy::OfflineModel train_over_yaws(const phy::PhyParams& params, const Channel& channel,
+                                  const std::vector<double>& yaws_deg, int rank) {
   std::vector<phy::WaveformSource> sources;
-  for (const double yaw_deg : opts.offline_yaws_deg) {
-    Pose pose = ch_cfg.pose;
-    pose.roll_rad = 0.0;  // offline references are calibrated rotation-free
+  for (const double yaw_deg : yaws_deg) {
+    Pose pose;
     pose.yaw_rad = rt::deg_to_rad(yaw_deg);
     sources.push_back(channel.noiseless_source_at(pose));
   }
-  return phy::OfflineTrainer::train(params, sources, opts.offline_rank);
+  return phy::OfflineTrainer::train(params, sources, rank);
 }
 
 }  // namespace
@@ -32,14 +32,7 @@ phy::OfflineModel train_offline_model(const phy::PhyParams& params,
   RT_ENSURE(!yaws_deg.empty(), "offline training needs at least one yaw orientation");
   ChannelConfig probe;
   probe.snr_override_db = 60.0;  // unused by the noiseless sources
-  Channel channel(params, tag_config, probe);
-  std::vector<phy::WaveformSource> sources;
-  for (const double yaw_deg : yaws_deg) {
-    Pose pose;
-    pose.yaw_rad = rt::deg_to_rad(yaw_deg);
-    sources.push_back(channel.noiseless_source_at(pose));
-  }
-  return phy::OfflineTrainer::train(params, sources, rank);
+  return train_over_yaws(params, Channel(params, tag_config, probe), yaws_deg, rank);
 }
 
 LinkSimulator::LinkSimulator(const phy::PhyParams& params, const lcm::TagConfig& tag_config,
@@ -47,7 +40,10 @@ LinkSimulator::LinkSimulator(const phy::PhyParams& params, const lcm::TagConfig&
     : params_(params),
       channel_(params, tag_config, channel_config),
       modulator_(params),
-      demodulator_(params, build_offline_model(params, channel_, options, channel_config)),
+      demodulator_(params, options.shared_offline_model
+                               ? *options.shared_offline_model
+                               : train_over_yaws(params, channel_, options.offline_yaws_deg,
+                                                 options.offline_rank)),
       opts_(options) {
   if (opts_.oracle_templates) {
     // Fingerprints measured noiselessly at the oracle pose (default: the
@@ -113,9 +109,7 @@ std::size_t LinkSimulator::render_into(std::span<const std::uint8_t> payload_bit
   for (auto& f : pkt.firings) f.time_s += pad_s;
   const double duration = pad_s + pkt.duration_s + params_.symbol_duration_s();
 
-  if (!ws.channel || ws.channel->channel_id() != channel_.id())
-    ws.channel.emplace(channel_.make_realization());
-  ws.channel->synthesize_into(pkt.firings, duration, &noise_rng, ws.synth, ws.rx);
+  channel_.synthesize_into(pkt.firings, duration, &noise_rng, ws.synth, ws.rx);
   return static_cast<std::size_t>(pad_slots) * params_.samples_per_slot();
 }
 

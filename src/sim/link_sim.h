@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -155,15 +156,15 @@ class LinkSimulator {
 
  private:
   /// Runs one packet through the workspace pipeline: modulate into
-  /// ws.schedule, pad the schedule in place, render through the cached
-  /// channel realization into ws.rx, demodulate in place. Does not fill
+  /// ws.schedule, pad the schedule in place, render through the channel
+  /// into ws.rx, demodulate in place. Does not fill
   /// `received_bits` (see run_packet workspace overload).
   [[nodiscard]] PacketOutcome transmit_into(std::span<const std::uint8_t> payload_bits,
                                             Rng& pad_rng, Rng& noise_rng,
                                             PacketWorkspace& ws) const;
 
-  /// TX half of transmit_into(): modulate, pad, render through the cached
-  /// channel realization into ws.rx. Returns the padding in samples.
+  /// TX half of transmit_into(): modulate, pad, render through the channel
+  /// into ws.rx. Returns the padding in samples.
   std::size_t render_into(std::span<const std::uint8_t> payload_bits, Rng& pad_rng,
                           Rng& noise_rng, PacketWorkspace& ws) const;
 

@@ -25,11 +25,15 @@ struct ConcurrentTag {
 
 /// Synthesizes the superposition of every tag's retroreflected waveform
 /// (linear optical superposition at the photodiodes), then adds AWGN for
-/// the given SNR *of the first (wanted) tag's signal*.
+/// the given SNR *of the first (wanted) tag's signal*, drawn from a fresh
+/// engine seeded `noise_seed`. The result is a pure function of (params,
+/// tags, duration_s, snr_db, noise_seed), which lets the fleet collision
+/// campaign batch trials across the thread pool -- see collision_slot_seed
+/// for the slot convention.
 [[nodiscard]] inline sig::IqWaveform superimpose_tags(const phy::PhyParams& params,
                                                       const std::vector<ConcurrentTag>& tags,
                                                       double duration_s, double snr_db,
-                                                      Rng& rng) {
+                                                      std::uint64_t noise_seed) {
   RT_ENSURE(!tags.empty(), "need at least one tag");
   sig::IqWaveform sum(params.sample_rate_hz,
                       static_cast<std::size_t>(std::ceil(duration_s * params.sample_rate_hz)));
@@ -41,14 +45,13 @@ struct ConcurrentTag {
     const auto& ct = tags[ti];
     lcm::TagConfig cfg = ct.tag;
     cfg.yaw_rad = ct.pose.yaw_rad;
-    lcm::TagArray tag(cfg);
+    const lcm::TagArray tag(cfg);
     tag.synthesize_into(ct.firings, params.sample_rate_hz, duration_s, scratch, w);
     const auto rot = optics::roll_rotation(ct.pose.roll_rad) * ct.relative_gain;
     for (std::size_t i = 0; i < sum.size() && i < w.size(); ++i) sum[i] += rot * w[i];
     if (ti != 0) continue;
     // The wanted tag's modulated power (its idle baseline removed) sets
     // the noise level.
-    tag.reset();
     tag.synthesize_into({}, params.sample_rate_hz, duration_s, scratch, idle);
     double p = 0.0;
     for (std::size_t i = 0; i < sum.size() && i < w.size(); ++i)
@@ -57,6 +60,7 @@ struct ConcurrentTag {
   }
   if (wanted_power > 0.0) {
     const double sigma = std::sqrt(wanted_power / rt::from_db(snr_db) / 2.0);
+    Rng rng(noise_seed);
     sig::add_noise_sigma(sum, sigma, rng);
   }
   return sum;
@@ -73,19 +77,6 @@ struct ConcurrentTag {
 [[nodiscard]] constexpr std::uint64_t collision_slot_seed(std::uint64_t base, std::uint64_t trial,
                                                           std::uint64_t stream) {
   return split_seed(base, trial, stream);
-}
-
-/// Pure-seeded overload: the AWGN is drawn from a fresh engine seeded
-/// `noise_seed`, so the returned waveform is a pure function of
-/// (params, tags, duration_s, snr_db, noise_seed). This is the form the
-/// fleet collision campaign batches across the thread pool -- see
-/// collision_slot_seed for the slot convention.
-[[nodiscard]] inline sig::IqWaveform superimpose_tags(const phy::PhyParams& params,
-                                                      const std::vector<ConcurrentTag>& tags,
-                                                      double duration_s, double snr_db,
-                                                      std::uint64_t noise_seed) {
-  Rng rng(noise_seed);
-  return superimpose_tags(params, tags, duration_s, snr_db, rng);
 }
 
 }  // namespace rt::sim

@@ -2,23 +2,23 @@
 //
 // One PacketWorkspace carries every reusable buffer the TX -> channel -> RX
 // pipeline touches for a packet: the modulator scratch and firing schedule,
-// the cached channel realization (posed tag array), the synthesis scratch,
-// the shared rx waveform that doubles as the corrected-signal stage, and
-// the receiver sub-workspaces. After a warm-up packet the steady-state hot
-// path performs zero heap allocations (tests/test_alloc.cpp locks this
-// down). Workspaces are reused across packets but never shared across
-// threads -- the parallel sweep engine keeps one per worker (thread_local).
+// the synthesis scratch (the tag's LC state), the shared rx waveform that
+// doubles as the corrected-signal stage, and the receiver sub-workspaces.
+// It holds nothing tied to one simulator, so one workspace may serve
+// several. After a warm-up packet the steady-state hot path performs zero
+// heap allocations (tests/test_alloc.cpp locks this down). Workspaces are
+// reused across packets but never shared across threads -- the parallel
+// sweep engine keeps one per worker (thread_local).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "coding/coded_frame.h"
+#include "lcm/tag_array.h"
 #include "obs/trace.h"
 #include "phy/demodulator.h"
 #include "phy/modulator.h"
-#include "sim/channel.h"
 
 namespace rt::sim {
 
@@ -28,9 +28,7 @@ struct PacketWorkspace {
   phy::PacketSchedule schedule;
   std::vector<std::uint8_t> payload;  ///< per-packet random payload bits
 
-  // Channel stage. The realization caches the posed tag array; it is
-  // rebuilt only when the workspace meets a different channel (id check).
-  std::optional<ChannelRealization> channel;
+  // Channel stage.
   lcm::SynthScratch synth;
 
   // RX stage. `rx` is written by the channel and then corrected in place

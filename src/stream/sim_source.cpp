@@ -28,7 +28,6 @@ StreamTruth build_stream(const sim::LinkSimulator& sim, const StreamScenario& sc
   out.waveform.sample_rate_hz = p.sample_rate_hz;
 
   sim::PacketWorkspace ws;
-  auto realization = sim.channel().make_realization();
   lcm::SynthScratch gap_scratch;
   sig::IqWaveform gap;
   std::vector<lcm::Firing> firings;
@@ -53,7 +52,7 @@ StreamTruth build_stream(const sim::LinkSimulator& sim, const StreamScenario& sc
         firings.push_back(f);
       }
     }
-    realization.synthesize_into(firings, duration, &noise, gap_scratch, gap);
+    sim.channel().synthesize_into(firings, duration, &noise, gap_scratch, gap);
     out.waveform.samples.insert(out.waveform.samples.end(), gap.samples.begin(),
                                 gap.samples.end());
     ++gap_index;

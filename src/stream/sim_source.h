@@ -5,10 +5,10 @@
 // Packet waveforms come from LinkSimulator::render_packet_rx -- the exact
 // TX -> channel samples run_packet() demodulates -- so a streaming decode
 // of the concatenation can be compared bit for bit against the
-// packet-at-a-time path. Gaps are rendered through the same channel
-// realization: kNoise renders the idle tag (baseline + AWGN), kGarbage
-// renders random tag firings (signal-level energy with non-preamble
-// structure, the false-alarm stressor).
+// packet-at-a-time path. Gaps are rendered through the same channel:
+// kNoise renders the idle tag (baseline + AWGN), kGarbage renders random
+// tag firings (signal-level energy with non-preamble structure, the
+// false-alarm stressor).
 #pragma once
 
 #include <cstddef>

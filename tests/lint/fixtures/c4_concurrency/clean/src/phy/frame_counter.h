@@ -1,6 +1,6 @@
 // CLEAN exemplar for rt_check C4 (concurrency): stage code stays
 // single-threaded pure; the one process-wide atomic carries a justified
-// suppression annotation (same contract as channel.cpp's id counter).
+// suppression annotation.
 #pragma once
 
 #include <atomic>

@@ -2,13 +2,14 @@
 //
 // Replaces the global allocator with a counting shim and proves that after
 // one warm-up packet the entire TX -> channel -> RX hot path
-// (LinkSimulator::run_packet through a reused PacketWorkspace) performs
-// ZERO heap allocations. This is the contract the workspace refactor
-// exists to provide; any new allocation on the steady-state path fails
-// this test. Each steady-state case runs twice, with spans off (the
-// default) and with a span buffer attached, and checks that the bound
-// recorder's counters advanced. Lives in its own binary because the
-// operator new/delete replacement is process-global.
+// (LinkSimulator::run_packet through a reused PacketWorkspace, also when
+// the workspace alternates between simulators) performs ZERO heap
+// allocations. This is the contract the workspace refactor exists to
+// provide; any new allocation on the steady-state path fails this test.
+// Each steady-state case runs twice, with spans off (the default) and with
+// a span buffer attached, and checks that the bound recorder's counters
+// advanced. Lives in its own binary because the operator new/delete
+// replacement is process-global.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -214,6 +215,59 @@ TEST(AllocationRegression, SteadyStateCodedPacketPipelineIsAllocationFree) {
     EXPECT_EQ(rs_ws.obs.metrics.count(obs::Counter::kCodedFrames) - rs_before, 4u);
     EXPECT_EQ(cc_ws.obs.trace.size() > spans_before, spans > 0);
     EXPECT_EQ(cc_ws.obs.trace.dropped() + rs_ws.obs.trace.dropped(), 0u);
+  }
+}
+
+TEST(AllocationRegression, WorkspaceSharedAcrossSimulatorsIsAllocationFree) {
+  // A PacketWorkspace holds nothing tied to one simulator: alternating
+  // packets between two operating points of one PHY through a single warm
+  // workspace must not allocate on any switch.
+  const auto p = fast_params();
+  ChannelConfig near;
+  near.snr_override_db = 20.0;
+  near.noise_seed = 7;
+  ChannelConfig far = near;
+  far.snr_override_db = 14.0;
+  far.noise_seed = 8;
+  SimOptions so;
+  so.seed = 42;
+  so.offline_yaws_deg = {0.0};
+  const LinkSimulator sim_near(p, p.tag_config(), near, so);
+  const LinkSimulator sim_far(p, p.tag_config(), far, so);
+
+  for (const std::size_t spans : kSpanCapacities) {
+    SCOPED_TRACE(testing::Message() << "span capacity " << spans);
+    PacketWorkspace ws;
+    ws.obs.trace = obs::TraceBuffer(spans);
+    const auto run_once = [&](std::size_t& errors) {
+      for (std::uint64_t i = 0; i < 2; ++i) {
+        const auto a = sim_near.run_packet(i, 8, ws);
+        const auto b = sim_far.run_packet(i, 8, ws);
+        ASSERT_TRUE(a.preamble_found && b.preamble_found)
+            << "packet " << i << " must decode for full-path coverage";
+        errors += a.bit_errors + b.bit_errors;
+      }
+    };
+
+    // Warm-up on both simulators, replaying the measured packet indices.
+    std::size_t warm_errors = 0;
+    run_once(warm_errors);
+    const std::uint64_t packets_before = ws.obs.metrics.count(obs::Counter::kPacketsSimulated);
+    const std::size_t spans_before = ws.obs.trace.size();
+
+    g_allocs.store(0);
+    g_counting.store(true);
+    std::size_t errors = 0;
+    run_once(errors);
+    g_counting.store(false);
+
+    EXPECT_EQ(errors, warm_errors) << "replayed packets must be bit-identical";
+    EXPECT_EQ(g_allocs.load(), 0u)
+        << "a workspace alternating between two simulators allocated on the heap ("
+        << g_allocs.load() << " allocations across 4 packets)";
+    EXPECT_EQ(ws.obs.metrics.count(obs::Counter::kPacketsSimulated) - packets_before, 4u);
+    EXPECT_EQ(ws.obs.trace.size() > spans_before, spans > 0);
+    EXPECT_EQ(ws.obs.trace.dropped(), 0u);
   }
 }
 

@@ -43,7 +43,7 @@ TEST(Integration, FullPacketThroughPassbandFrontend) {
   sim::ChannelConfig chc;
   chc.pose.roll_rad = rt::deg_to_rad(35.0);
   sim::Channel channel(p, p.tag_config(), chc);
-  const auto src = channel.noiseless_source();
+  const auto src = channel.noiseless_source_at(channel.config().pose);
   const auto baseband = src(pkt.firings, pkt.duration_s + p.symbol_duration_s());
 
   frontend::ReceiverChainConfig rc;
@@ -84,8 +84,10 @@ TEST(Integration, LowSnrSynchronizationViaCorrelationPath) {
   ch.snr_override_db = 0.0;
   sim::Channel channel(p, p.tag_config(), ch);
   Rng noise_rng(ch.noise_seed);
-  auto src = channel.source_with(noise_rng);
-  const auto rx = src(pkt.firings, pkt.duration_s + p.symbol_duration_s());
+  lcm::SynthScratch scratch;
+  sig::IqWaveform rx;
+  channel.synthesize_into(pkt.firings, pkt.duration_s + p.symbol_duration_s(), &noise_rng, scratch,
+                          rx);
 
   const phy::PreambleProcessor pre(p);
   phy::PreambleWorkspace ws;
@@ -136,8 +138,8 @@ TEST(Integration, RidgeTrainingRecoversOracleTemplates) {
   phy::ModulatorWorkspace mod_ws;
   phy::PacketSchedule pkt;
   mod.modulate_into(rng.bits(32), mod_ws, pkt);
-  auto corrected =
-      channel.noiseless_source()(pkt.firings, pkt.duration_s + p.symbol_duration_s());
+  auto corrected = channel.noiseless_source_at(channel.config().pose)(
+      pkt.firings, pkt.duration_s + p.symbol_duration_s());
 
   const auto model = sim::train_offline_model(p, tag);
   // The trainer consumes the rotation-corrected, baseline-free signal.
@@ -150,7 +152,8 @@ TEST(Integration, RidgeTrainingRecoversOracleTemplates) {
   phy::PulseBank ridged;
   phy::OnlineTrainer::train_into(p, model, pkt.layout, corrected, det.start_sample, ridged,
                                  training_ws, /*ridge=*/1e-4);
-  const auto oracle = phy::collect_fingerprints(p, channel.noiseless_source());
+  const auto oracle =
+      phy::collect_fingerprints(p, channel.noiseless_source_at(channel.config().pose));
   for (int m = 0; m < ridged.modules(); ++m) {
     const auto a = ridged.pulse(m, 0b001);  // fired, no recent history
     const auto b = oracle.pulse(m, 0b001);
@@ -209,8 +212,8 @@ TEST(Integration, PixelCalibrationRecoversTrueGains) {
   phy::ModulatorWorkspace mod_ws;
   phy::PacketSchedule pkt;
   mod.modulate_into(rng.bits(32), mod_ws, pkt);
-  auto corrected =
-      channel.noiseless_source()(pkt.firings, pkt.duration_s + p.symbol_duration_s());
+  auto corrected = channel.noiseless_source_at(channel.config().pose)(
+      pkt.firings, pkt.duration_s + p.symbol_duration_s());
   const phy::PreambleProcessor pre(p);
   phy::PreambleWorkspace preamble_ws;
   const auto det = pre.detect(corrected, 2 * p.samples_per_slot(), preamble_ws);

@@ -40,10 +40,12 @@ struct Scenario {
     const auto bits = rng.bits(static_cast<std::size_t>(3 * m.block_symbols) *
                                static_cast<std::size_t>(p.bits_per_slot()));
     const auto pkt = mod.modulate(bits);
-    sim::Channel channel(p, p.tag_config(), ch);
+    const sim::Channel channel(p, p.tag_config(), ch);
     Rng noise_rng(ch.noise_seed);
-    auto src = channel.source_with(noise_rng);
-    const auto rx = src(pkt.firings, pkt.duration_s + p.symbol_duration_s());
+    lcm::SynthScratch scratch;
+    sig::IqWaveform rx;
+    channel.synthesize_into(pkt.firings, pkt.duration_s + p.symbol_duration_s(), &noise_rng,
+                            scratch, rx);
     const MobileDemodulator demod(p, m, sim::train_offline_model(p, p.tag_config()));
     DemodOptions opts;
     opts.search_limit = 2 * p.samples_per_slot();
@@ -113,10 +115,12 @@ TEST(Mobile, ReportsPerBlockRotationEstimates) {
   const auto bits = rng.bits(static_cast<std::size_t>(3 * s.m.block_symbols) *
                              static_cast<std::size_t>(s.p.bits_per_slot()));
   const auto pkt = mod.modulate(bits);
-  sim::Channel channel(s.p, s.p.tag_config(), s.ch);
+  const sim::Channel channel(s.p, s.p.tag_config(), s.ch);
   Rng noise_rng(s.ch.noise_seed);
-  auto src = channel.source_with(noise_rng);
-  const auto rx = src(pkt.firings, pkt.duration_s + s.p.symbol_duration_s());
+  lcm::SynthScratch scratch;
+  sig::IqWaveform rx;
+  channel.synthesize_into(pkt.firings, pkt.duration_s + s.p.symbol_duration_s(), &noise_rng,
+                          scratch, rx);
   const MobileDemodulator demod(s.p, s.m, sim::train_offline_model(s.p, s.p.tag_config()));
   const auto res = demod.demodulate(rx, pkt);
   ASSERT_TRUE(res.preamble_found);

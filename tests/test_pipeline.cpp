@@ -80,8 +80,9 @@ TEST(PacketPipeline, WorkspaceFollowsChannelSwitches) {
   const LinkSimulator sim_a(p, tag, fast_channel(12.0, 5), fast_options());
   const LinkSimulator sim_b(p, tag, fast_channel(7.0, 9), fast_options());
   // One workspace bounced between two simulators must reproduce what each
-  // simulator computes alone (the cached realization rebuilds on id
-  // mismatch, never reusing the wrong channel's tag state).
+  // simulator computes alone: the tag's LC state in the workspace starts
+  // relaxed on every render, so no channel's state leaks into the other's
+  // packets.
   PacketWorkspace shared;
   for (std::uint64_t i = 0; i < 3; ++i) {
     const auto a_shared = sim_a.run_packet(i, 8, shared);
@@ -174,7 +175,8 @@ TEST(PacketPipeline, DescramblePathRoundTripsThroughDemodOptions) {
   phy::PacketSchedule pkt;
   mod.modulate_into(bits, mod_ws, pkt);
   Channel ch(p, tag, fast_channel(40.0, 2));
-  const auto rx = ch.noiseless_source()(pkt.firings, pkt.duration_s + p.symbol_duration_s());
+  const auto rx =
+      ch.noiseless_source_at(ch.config().pose)(pkt.firings, pkt.duration_s + p.symbol_duration_s());
 
   // demodulate_into corrects its input in place, so each run gets a copy.
   const phy::Demodulator demod(p, train_offline_model(p, tag, {0.0}));

@@ -163,7 +163,8 @@ TEST_P(EndToEndProperty, NoiselessRoundTripIsExact) {
   sim::ChannelConfig chc;
   chc.pose.roll_rad = rt::deg_to_rad(15.0);
   sim::Channel channel(p, p.tag_config(), chc);
-  auto rx = channel.noiseless_source()(pkt.firings, pkt.duration_s + p.symbol_duration_s());
+  auto rx = channel.noiseless_source_at(channel.config().pose)(
+      pkt.firings, pkt.duration_s + p.symbol_duration_s());
 
   const phy::Demodulator demod(p, sim::train_offline_model(p, p.tag_config()));
   phy::DemodOptions opts;
@@ -204,7 +205,7 @@ TEST_P(PreambleRollProperty, RotationEstimateMatchesPhysicalRoll) {
   sim::ChannelConfig chc;
   chc.pose.roll_rad = rt::deg_to_rad(roll_deg);
   sim::Channel channel(p, p.tag_config(), chc);
-  const auto rx = channel.noiseless_source()(
+  const auto rx = channel.noiseless_source_at(channel.config().pose)(
       phy::preamble_firings(p, 0), (p.preamble_slots + p.dsm_order) * p.slot_s);
   phy::PreambleWorkspace ws;
   const auto det = pre.detect(rx, 0, ws);

@@ -58,7 +58,7 @@ TEST(ChannelTest, NoiselessSourceIsDeterministic) {
   ChannelConfig cfg;
   cfg.pose.roll_rad = rt::deg_to_rad(30.0);
   Channel ch(p, p.tag_config(), cfg);
-  const auto src = ch.noiseless_source();
+  const auto src = ch.noiseless_source_at(ch.config().pose);
   const auto a = src({}, rt::ms(8.0));
   const auto b = src({}, rt::ms(8.0));
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
@@ -70,9 +70,11 @@ TEST(ChannelTest, NoisySourceDrawsFreshNoisePerPacket) {
   cfg.snr_override_db = 20.0;
   Channel ch(p, p.tag_config(), cfg);
   Rng noise_rng(cfg.noise_seed);
-  auto src = ch.source_with(noise_rng);
-  const auto a = src({}, rt::ms(4.0));
-  const auto b = src({}, rt::ms(4.0));
+  lcm::SynthScratch scratch;
+  sig::IqWaveform a;
+  sig::IqWaveform b;
+  ch.synthesize_into({}, rt::ms(4.0), &noise_rng, scratch, a);
+  ch.synthesize_into({}, rt::ms(4.0), &noise_rng, scratch, b);
   bool any_diff = false;
   for (std::size_t i = 0; i < a.size(); ++i) any_diff = any_diff || (a[i] != b[i]);
   EXPECT_TRUE(any_diff);

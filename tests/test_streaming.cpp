@@ -239,11 +239,10 @@ TEST(StreamingReceiver, RejectsFalsePreamblesInPureNoise) {
   const auto p = fast_params();
   const sim::LinkSimulator sim(p, p.tag_config(), fast_channel(20.0), fast_options());
   // Two seconds of idle channel: baseline plus AWGN, no tag activity.
-  auto realization = sim.channel().make_realization();
   lcm::SynthScratch scratch;
   sig::IqWaveform noise;
   Rng noise_rng(123);
-  realization.synthesize_into({}, 2.0, &noise_rng, scratch, noise);
+  sim.channel().synthesize_into({}, 2.0, &noise_rng, scratch, noise);
 
   StreamOptions opts;
   opts.payload_slots = 8;
