@@ -37,7 +37,7 @@ int main() {
     RT_TRACE_SPAN("threshold_map");
     return rt::analysis::optimize_parameters(table, rate, opt);
   }();
-  report.add_recorder(obs_rec);
+  report.add_obs(obs_rec.snapshot());
 
   std::printf("\nrelative threshold (dB, 0 = best) at %.0f bps\n", rate);
   std::printf("%-8s", "L \\ P");

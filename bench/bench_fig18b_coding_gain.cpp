@@ -33,6 +33,7 @@
 // Knobs: RT_BENCH_PACKETS / RT_BENCH_PAYLOAD / RT_BENCH_THREADS.
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -42,7 +43,7 @@
 #include "bench/bench_util.h"
 #include "coding/code_descriptor.h"
 #include "mac/goodput.h"
-#include "runtime/thread_pool.h"
+#include "runtime/batch.h"
 #include "sim/coded_link.h"
 #include "sim/mobility.h"
 
@@ -51,32 +52,33 @@ namespace {
 using rt::sim::CodedLink;
 using rt::sim::CodedLinkStats;
 
-/// Runs one coded campaign over packets 0..packets-1, partitioned across
-/// the pool. Workspaces are per-partition, stats merge associatively, so
-/// the result is bit-identical to CodedLink::run() at any thread count.
+/// Runs one coded campaign over packets 0..packets-1 as one
+/// run_deterministic_batches task per thread. Each task brings its own
+/// workspace and stats slot, stats merge associatively, so the result is
+/// bit-identical to CodedLink::run() at any thread count.
 CodedLinkStats run_parallel(const CodedLink& clink, int packets, std::size_t payload,
-                            CodedLink::DecodeMode mode, rt::runtime::ThreadPool& pool,
+                            CodedLink::DecodeMode mode, unsigned threads,
                             rt::bench::BenchReport& report) {
-  const int threads = std::max(1, static_cast<int>(pool.size()));
-  const int chunk = (packets + threads - 1) / threads;
+  const int n = static_cast<int>(threads);
+  const int chunk = (packets + n - 1) / n;
   const std::size_t parts = static_cast<std::size_t>((packets + chunk - 1) / chunk);
-  std::vector<rt::sim::PacketWorkspace> wss(parts);  // fixed size: tasks hold pointers
-  std::vector<std::future<CodedLinkStats>> futs;
-  futs.reserve(parts);
+  std::vector<CodedLinkStats> slots(parts);
+  std::vector<std::function<rt::obs::Snapshot()>> tasks;
+  tasks.reserve(parts);
   for (std::size_t t = 0; t < parts; ++t) {
     const int lo = static_cast<int>(t) * chunk;
     const int hi = std::min(packets, lo + chunk);
-    auto* ws = &wss[t];
-    futs.push_back(pool.submit([&clink, ws, lo, hi, payload, mode] {
-      CodedLinkStats s;
-      for (int p = lo; p < hi; ++p)
-        s.add(clink.run_packet(static_cast<std::uint64_t>(p), payload, *ws, mode));
-      return s;
-    }));
+    tasks.push_back([&clink, &slot = slots[t], lo, hi, payload, mode] {
+      return rt::runtime::record_batch([&] {
+        rt::sim::PacketWorkspace ws;
+        for (int p = lo; p < hi; ++p)
+          slot.add(clink.run_packet(static_cast<std::uint64_t>(p), payload, ws, mode));
+      });
+    });
   }
+  report.add_obs(rt::runtime::run_deterministic_batches(std::move(tasks), threads));
   CodedLinkStats total;
-  for (auto& f : futs) total.merge(f.get());
-  for (const auto& ws : wss) report.add_recorder(ws.obs);
+  for (const CodedLinkStats& s : slots) total.merge(s);
   return total;
 }
 
@@ -116,7 +118,6 @@ int main() {
   const int packets = rt::bench::packets_per_point();
   const std::size_t payload = rt::bench::payload_bytes();
   const unsigned threads = rt::bench::bench_threads();
-  rt::runtime::ThreadPool pool(threads);
 
   const auto params = rt::phy::PhyParams::rate_16kbps();
   const auto tag = rt::bench::realistic_tag(params);
@@ -156,10 +157,10 @@ int main() {
 
     Row row;
     row.snr = snrs[i];
-    row.cc_soft = run_parallel(cc, packets, payload, CodedLink::DecodeMode::kSoft, pool, report);
-    row.cc_hard = run_parallel(cc, packets, payload, CodedLink::DecodeMode::kHard, pool, report);
-    row.rs_soft = run_parallel(rs, packets, payload, CodedLink::DecodeMode::kSoft, pool, report);
-    row.rs_hard = run_parallel(rs, packets, payload, CodedLink::DecodeMode::kHard, pool, report);
+    row.cc_soft = run_parallel(cc, packets, payload, CodedLink::DecodeMode::kSoft, threads, report);
+    row.cc_hard = run_parallel(cc, packets, payload, CodedLink::DecodeMode::kHard, threads, report);
+    row.rs_soft = run_parallel(rs, packets, payload, CodedLink::DecodeMode::kSoft, threads, report);
+    row.rs_hard = run_parallel(rs, packets, payload, CodedLink::DecodeMode::kHard, threads, report);
     if (snrs[i] == 33.0) {
       mid_soft_parallel = row.cc_soft;
       mid_link = &link;
@@ -266,9 +267,9 @@ int main() {
     links.push_back(std::make_unique<rt::sim::LinkSimulator>(params, tag, ch, sopts));
     const CodedLink cc(*links.back(), cc_cfg);
     const auto soft =
-        run_parallel(cc, packets, payload, CodedLink::DecodeMode::kSoft, pool, report);
+        run_parallel(cc, packets, payload, CodedLink::DecodeMode::kSoft, threads, report);
     const auto hard =
-        run_parallel(cc, packets, payload, CodedLink::DecodeMode::kHard, pool, report);
+        run_parallel(cc, packets, payload, CodedLink::DecodeMode::kHard, threads, report);
     std::printf("%-34s %-10s %-10s %-10s\n", cases[i].name.c_str(), info_ber_str(hard).c_str(),
                 info_ber_str(soft).c_str(),
                 rt::bench::ber_str_counts(soft.raw_bit_errors, soft.raw_bits).c_str());

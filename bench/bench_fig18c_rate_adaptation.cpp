@@ -126,8 +126,8 @@ int main() {
   report.add_scalar("closed_loop_mean_abs_estimate_error_db", mean_abs_err);
   report.add_scalar("closed_loop_estimated_over_oracle", est_over_oracle);
   report.add_scalar("closed_loop_estimated_beats_baseline", estimated_beats_baseline ? 1.0 : 0.0);
-  report.add_recorder(obs_rec);
-  report.add_metrics(serial.metrics);
+  report.add_obs(obs_rec.snapshot());
+  report.add_obs(serial.obs);
   report.write();
   std::printf("shape check: gain(4)=%.2f > 1, gain(100)=%.2f >> gain(4), growing, closed loop "
               "identical + est>=baseline at every distance: %s\n",

@@ -85,8 +85,7 @@ int main() {
       report.add_value(std::string("goodput_bps_") + mode, pop, r.fleet_goodput_bps);
       report.add_value(std::string("collision_rate_") + mode, pop, r.collision_rate);
       report.add_value(std::string("discovery_rounds_") + mode, pop, r.mean_discovery_rounds);
-      report.add_metrics(r.metrics);
-      report.add_trace(r.trace);
+      report.add_obs(r.obs);
       if (coordinate && r.cross_collisions != 0) {
         std::printf("FAIL: coordinated schedule registered %llu cross-cell collisions\n",
                     static_cast<unsigned long long>(r.cross_collisions));
@@ -113,8 +112,7 @@ int main() {
     print_run(label, r);
     report.add_value("goodput_bps_vs_readers", rc, r.fleet_goodput_bps);
     report.add_value("discovery_rounds_vs_readers", rc, r.mean_discovery_rounds);
-    report.add_metrics(r.metrics);
-    report.add_trace(r.trace);
+    report.add_obs(r.obs);
   }
 
   // Part 3: the determinism gate. The full-scale campaign re-run serial
@@ -160,8 +158,7 @@ int main() {
                   collided, clean);
       ++failures;
     }
-    report.add_metrics(pooled.metrics);
-    report.add_trace(pooled.trace);
+    report.add_obs(pooled.obs);
   }
 
   report.write();

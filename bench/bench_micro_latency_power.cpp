@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
   }
   // Written before the timed loops so the structural results land even if
   // the google-benchmark pass is interrupted.
-  report.add_recorder(obs_rec);
+  report.add_obs(obs_rec.snapshot());
   report.write();
 
   benchmark::Initialize(&argc, argv);

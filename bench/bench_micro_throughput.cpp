@@ -48,40 +48,33 @@ int main() {
   const int packets = std::max(8, bench::packets_per_point());
   const int warmup = 2;
 
-  // Serial, one reused workspace (steady-state pipeline).
+  // Serial, one reused workspace (steady-state pipeline). Its counters and
+  // stage spans are the report's serial-path telemetry.
+  obs::Recorder serial_rec;
   sim::PacketWorkspace ws;
-  for (int i = 0; i < warmup; ++i)
-    (void)sim.run_packet(static_cast<std::uint64_t>(i), payload, ws);
   sim::LinkStats reuse_stats;
-  const auto t_reuse = Clock::now();
-  for (int i = 0; i < packets; ++i) {
-    const auto out = sim.run_packet(static_cast<std::uint64_t>(i), payload, ws);
-    ++reuse_stats.packets;
-    if (!out.preamble_found) ++reuse_stats.preamble_failures;
-    reuse_stats.bit_errors += out.bit_errors;
-    reuse_stats.total_bits += out.bits;
+  double reuse_s = 0.0;
+  {
+    const obs::ScopedBind bind(serial_rec);
+    for (int i = 0; i < warmup; ++i)
+      (void)sim.run_packet(static_cast<std::uint64_t>(i), payload, ws);
+    const auto t_reuse = Clock::now();
+    for (int i = 0; i < packets; ++i)
+      reuse_stats.add(sim.run_packet(static_cast<std::uint64_t>(i), payload, ws));
+    reuse_s = seconds_since(t_reuse);
   }
-  const double reuse_s = seconds_since(t_reuse);
-  report.add_recorder(ws.obs);  // serial-path counters and stage spans
+  report.add_obs(serial_rec.snapshot());
 
   // Serial, fresh workspace per packet (the old allocate-per-call shape),
-  // cross-checked against the reuse run packet by packet.
-  bool identical = true;
+  // cross-checked against the reuse run.
   sim::LinkStats fresh_stats;
   const auto t_fresh = Clock::now();
   for (int i = 0; i < packets; ++i) {
     sim::PacketWorkspace fresh;
-    const auto out = sim.run_packet(static_cast<std::uint64_t>(i), payload, fresh);
-    ++fresh_stats.packets;
-    if (!out.preamble_found) ++fresh_stats.preamble_failures;
-    fresh_stats.bit_errors += out.bit_errors;
-    fresh_stats.total_bits += out.bits;
+    fresh_stats.add(sim.run_packet(static_cast<std::uint64_t>(i), payload, fresh));
   }
   const double fresh_s = seconds_since(t_fresh);
-  identical = fresh_stats.packets == reuse_stats.packets &&
-              fresh_stats.preamble_failures == reuse_stats.preamble_failures &&
-              fresh_stats.bit_errors == reuse_stats.bit_errors &&
-              fresh_stats.total_bits == reuse_stats.total_bits;
+  bool identical = fresh_stats == reuse_stats;
 
   // Parallel sweep engine (thread_local per-worker workspaces).
   runtime::SweepPoint point;
@@ -95,10 +88,7 @@ int main() {
   sweep_opts.threads = bench::bench_threads();
   const auto sweep = runtime::parallel_sweep({&point, 1}, sweep_opts);
   report.add_sweep(sweep);
-  const sim::LinkStats& sweep_stats = sweep.stats[0];
-  identical = identical && sweep_stats.bit_errors == reuse_stats.bit_errors &&
-              sweep_stats.total_bits == reuse_stats.total_bits &&
-              sweep_stats.preamble_failures == reuse_stats.preamble_failures;
+  identical = identical && sweep.stats[0] == reuse_stats;
 
   const double pkt_s_reuse = packets / reuse_s;
   const double pkt_s_fresh = packets / fresh_s;

@@ -49,9 +49,11 @@ struct TruthSink final : rt::stream::FrameSink {
   }
 };
 
-/// Pushes the whole waveform through `rx` in kChunk-sized pieces.
+/// Pushes the whole waveform through `rx` in kChunk-sized pieces,
+/// recording the receiver's counters and stage spans into `rec`.
 void run_stream(rt::stream::StreamingReceiver& rx, const rt::sig::IqWaveform& wave,
-                TruthSink& sink) {
+                TruthSink& sink, rt::obs::Recorder& rec) {
+  const rt::obs::ScopedBind bind(rec);
   const std::span<const rt::sig::Complex> all(wave.samples);
   for (std::size_t off = 0; off < all.size(); off += kChunk)
     rx.push_samples(all.subspan(off, std::min(kChunk, all.size() - off)), sink);
@@ -90,17 +92,18 @@ int main() {
   stream::StreamOptions opts;
   opts.payload_slots = noise_truth.payload_slots;
   stream::StreamingReceiver rx(sim.demodulator(), opts);
+  obs::Recorder rx_rec;
 
   TruthSink warm;
   warm.truth = &noise_truth;
-  run_stream(rx, noise_truth.waveform, warm);  // warm-up: buffers reach capacity
+  run_stream(rx, noise_truth.waveform, warm, rx_rec);  // warm-up: buffers reach capacity
 
   TruthSink timed;
   timed.truth = &noise_truth;
   const auto t0 = Clock::now();
-  run_stream(rx, noise_truth.waveform, timed);
+  run_stream(rx, noise_truth.waveform, timed, rx_rec);
   const double stream_s = seconds_since(t0);
-  report.add_recorder(rx.recorder());
+  report.add_obs(rx_rec.snapshot());
 
   const double samples = static_cast<double>(noise_truth.waveform.size());
   const double samples_per_s = samples / stream_s;
@@ -115,8 +118,9 @@ int main() {
   stream::StreamingReceiver garbage_rx(sim.demodulator(), opts);
   TruthSink garbage_sink;
   garbage_sink.truth = &garbage_truth;
-  run_stream(garbage_rx, garbage_truth.waveform, garbage_sink);
-  report.add_recorder(garbage_rx.recorder());
+  obs::Recorder garbage_rec;
+  run_stream(garbage_rx, garbage_truth.waveform, garbage_sink, garbage_rec);
+  report.add_obs(garbage_rec.snapshot());
   const std::size_t garbage_false =
       garbage_sink.frames > static_cast<std::size_t>(packets)
           ? garbage_sink.frames - static_cast<std::size_t>(packets)
@@ -134,10 +138,11 @@ int main() {
   sim.channel().synthesize_into({}, idle_duration, &noise_rng, scratch, idle);
   stream::StreamingReceiver idle_rx(sim.demodulator(), opts);
   TruthSink idle_sink;
+  obs::Recorder idle_rec;
   const auto t1 = Clock::now();
-  run_stream(idle_rx, idle, idle_sink);
+  run_stream(idle_rx, idle, idle_sink, idle_rec);
   const double idle_s = seconds_since(t1);
-  report.add_recorder(idle_rx.recorder());
+  report.add_obs(idle_rec.snapshot());
   const double idle_samples_per_s = static_cast<double>(idle.size()) / idle_s;
 
   std::printf("frames+noise  : %8.0f samples/sec (%.1fx realtime), %zu/%d frames, "

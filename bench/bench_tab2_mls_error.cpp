@@ -53,7 +53,7 @@ int main() {
       avgs.push_back(e.avg_rel_error);
     }
   }
-  report.add_recorder(obs_rec);
+  report.add_obs(obs_rec.snapshot());
 
   std::printf("\n%-14s", "MLS Order (V)");
   for (const int v : vs) std::printf("%8d", v);

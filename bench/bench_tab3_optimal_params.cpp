@@ -48,7 +48,7 @@ int main() {
       }));
     for (auto& f : futures) results.push_back(f.get());
   }
-  report.add_recorder(obs_rec);
+  report.add_obs(obs_rec.snapshot());
 
   std::vector<double> ds;
   std::printf("\n%-18s", "Data rate (Kbps)");

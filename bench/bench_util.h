@@ -24,6 +24,7 @@
 
 #include "obs/export.h"
 #include "runtime/sweep.h"
+#include "runtime/thread_pool.h"
 #include "sim/link_sim.h"
 
 namespace rt::bench {
@@ -38,7 +39,14 @@ namespace rt::bench {
 [[nodiscard]] inline std::size_t payload_bytes() {
   return static_cast<std::size_t>(env_int("RT_BENCH_PAYLOAD", 32));
 }
-[[nodiscard]] inline unsigned bench_threads() { return rt::runtime::sweep_threads(); }
+/// Worker threads for sweeps and campaigns: RT_BENCH_THREADS when set
+/// (clamped to >= 1), else runtime::hardware_threads().
+[[nodiscard]] inline unsigned bench_threads() {
+  const char* v = std::getenv("RT_BENCH_THREADS");
+  if (v == nullptr || *v == '\0') return runtime::hardware_threads();
+  const int n = std::atoi(v);
+  return n < 1 ? 1U : static_cast<unsigned>(n);
+}
 
 inline void print_header(const char* experiment, const char* paper_ref,
                          const char* expectation) {
@@ -173,26 +181,12 @@ class BenchReport {
   /// sweep's metrics + stage spans.
   void add_sweep(const runtime::SweepResult& r) {
     sweep_wall_s_ += r.wall_s;
-    obs_metrics_.merge(r.metrics);
-    obs_trace_.insert(obs_trace_.end(), r.trace.begin(), r.trace.end());
+    add_obs(r.obs);
   }
 
-  /// Folds an already-merged metrics registry (e.g. a closed-loop study's)
-  /// into the report.
-  void add_metrics(const obs::MetricsRegistry& m) { obs_metrics_.merge(m); }
-
-  /// Appends already-collected spans (e.g. a fleet campaign's trace).
-  void add_trace(std::span<const obs::SpanRecord> spans) {
-    obs_trace_.insert(obs_trace_.end(), spans.begin(), spans.end());
-  }
-
-  /// Folds a serial-path recorder (e.g. a PacketWorkspace's) into the
-  /// report.
-  void add_recorder(const obs::Recorder& rec) {
-    obs_metrics_.merge(rec.metrics);
-    const auto spans = rec.trace.spans();
-    obs_trace_.insert(obs_trace_.end(), spans.begin(), spans.end());
-  }
+  /// Folds a snapshot into the report: a study result's, a
+  /// runtime::record_batch's, or a bench-bound recorder's (snapshot()).
+  void add_obs(const obs::Snapshot& s) { obs_.merge(s); }
 
   /// Writes BENCH_<name>.json into the working directory.
   void write() const {
@@ -239,14 +233,14 @@ class BenchReport {
   /// BENCH_<name>.folded.txt artifacts (schemas in docs/TELEMETRY.md).
   /// No-op when nothing was recorded.
   void write_obs_artifacts() const {
-    if (obs_metrics_.empty() && obs_trace_.empty()) return;
-    obs::print_stage_summary(stdout, obs_metrics_, obs_trace_);
+    if (obs_.metrics.empty() && obs_.spans.empty()) return;
+    obs::print_stage_summary(stdout, obs_.metrics, obs_.spans);
     const std::string trace_path = "BENCH_" + name_ + ".trace.json";
     const std::string metrics_path = "BENCH_" + name_ + ".metrics.json";
     const std::string folded_path = "BENCH_" + name_ + ".folded.txt";
-    obs::write_chrome_trace(trace_path, obs_trace_);
-    obs::write_metrics_json(metrics_path, obs_metrics_, obs_trace_);
-    obs::write_folded_stacks(folded_path, obs_trace_);
+    obs::write_chrome_trace(trace_path, obs_.spans);
+    obs::write_metrics_json(metrics_path, obs_.metrics, obs_.spans);
+    obs::write_folded_stacks(folded_path, obs_.spans);
     std::printf("wrote %s + %s + %s (open the trace at chrome://tracing)\n", trace_path.c_str(),
                 metrics_path.c_str(), folded_path.c_str());
   }
@@ -266,8 +260,7 @@ class BenchReport {
   double sweep_wall_s_ = 0.0;
   std::vector<std::string> points_;
   std::vector<std::pair<std::string, double>> scalars_;
-  obs::MetricsRegistry obs_metrics_;
-  std::vector<obs::SpanRecord> obs_trace_;  // stays empty unless spans are on
+  obs::Snapshot obs_;  // spans stay empty unless spans are on
 };
 
 }  // namespace rt::bench

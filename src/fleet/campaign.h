@@ -23,6 +23,9 @@
 //       the next epoch's assignment. Controller state is sequential by
 //       nature, exactly like run_closed_loop_study's phase 2.
 //
+// The serial phases record through runtime::record_batch too; their
+// snapshots are appended after the parallel phases' in the result.
+//
 // Every result field is data-derived, so serial and N-thread runs
 // compare bit-identical at any thread count (tests/test_fleet.cpp).
 #pragma once
@@ -108,14 +111,14 @@ struct FleetResult {
   double delivery_rate = 0.0;
   double collision_rate = 0.0;        ///< cross-cell corrupted / attempted
   double mean_discovery_rounds = 0.0; ///< mean over tags of discovery_round
-  obs::MetricsRegistry metrics;
-  std::vector<obs::SpanRecord> trace; ///< empty unless spans are on (RT_OBS_SPAN_CAPACITY)
+  obs::Snapshot obs;  ///< spans stay empty unless RT_OBS_SPAN_CAPACITY is set
 
-  /// Bitwise equality of everything data-derived: the serial-vs-parallel
-  /// acceptance gate of test_fleet and bench_fleet_inventory.
+  /// Bitwise equality of everything data-derived (metrics, not spans):
+  /// the serial-vs-parallel acceptance gate of test_fleet and
+  /// bench_fleet_inventory.
   [[nodiscard]] bool identical(const FleetResult& o) const {
     return readers == o.readers && discovery_round == o.discovery_round &&
-           num_colors == o.num_colors && metrics == o.metrics;
+           num_colors == o.num_colors && obs.metrics == o.obs.metrics;
   }
 };
 
@@ -136,21 +139,17 @@ struct FleetResult {
 
   const std::size_t readers = dep.reader_x_m.size();
   const SlotSchedule sched = plan_slot_schedule(dep, cfg.coordinate_readers);
-  const unsigned workers = cfg.threads == 0 ? 1 : cfg.threads;
 
   FleetResult out;
   out.readers.resize(readers);
   out.discovery_round.assign(dep.tags.size(), 0);
   out.num_colors = sched.num_colors;
 
-  // Serial recorder: setup + merge-phase telemetry, merged into the
-  // result once at the end (run_closed_loop_study's control_rec pattern).
-  obs::Recorder serial_rec;
-  {
-    const obs::ScopedBind bind(serial_rec);
+  // Setup + merge-phase telemetry, appended to the result at the end.
+  obs::Snapshot serial = runtime::record_batch([&] {
     for (std::size_t r = 0; r < readers; ++r)
       RT_OBS_OBSERVE(kFleetShardTags, static_cast<double>(dep.shards[r].size()));
-  }
+  });
 
   // Uncoordinated cross-cell corruption probability at reader r: one
   // minus the chance that no conflicting neighbor's concurrent uplink is
@@ -176,7 +175,7 @@ struct FleetResult {
   };
   std::vector<DiscoveryOut> disc(readers);
   {
-    std::vector<std::function<runtime::BatchObs()>> tasks;
+    std::vector<std::function<obs::Snapshot()>> tasks;
     tasks.reserve(readers);
     for (std::size_t r = 0; r < readers; ++r) {
       tasks.push_back([&out, &disc, &dep, &cfg, r] {
@@ -224,9 +223,7 @@ struct FleetResult {
         });
       });
     }
-    const auto obs = runtime::run_deterministic_batches(std::move(tasks), workers);
-    out.metrics.merge(obs.metrics);
-    out.trace.insert(out.trace.end(), obs.spans.begin(), obs.spans.end());
+    out.obs = runtime::run_deterministic_batches(std::move(tasks), cfg.threads);
   }
 
   // --- Phase E: inventory epochs. ---
@@ -272,7 +269,7 @@ struct FleetResult {
     // E.1 (parallel): (reader, round-batch) tasks; round g of reader r
     // draws only from split_seed(seed, r, kDataStreamBase + g) and writes
     // only round_out[r][g], so any task order yields identical state.
-    std::vector<std::function<runtime::BatchObs()>> tasks;
+    std::vector<std::function<obs::Snapshot()>> tasks;
     for (std::size_t r = 0; r < readers; ++r) {
       for (int b0 = 0; b0 < cfg.rounds_per_epoch; b0 += cfg.batch_rounds) {
         const int b1 = std::min(b0 + cfg.batch_rounds, cfg.rounds_per_epoch);
@@ -312,14 +309,11 @@ struct FleetResult {
         });
       }
     }
-    const auto obs = runtime::run_deterministic_batches(std::move(tasks), workers);
-    out.metrics.merge(obs.metrics);
-    out.trace.insert(out.trace.end(), obs.spans.begin(), obs.spans.end());
+    out.obs.merge(runtime::run_deterministic_batches(std::move(tasks), cfg.threads));
 
     // E.2 (serial): controllers consume the epoch in round order and the
     // next epoch's assignments are frozen from their state.
-    {
-      const obs::ScopedBind bind(serial_rec);
+    serial.merge(runtime::record_batch([&] {
       RT_TRACE_SPAN("fleet_merge");
       for (std::size_t r = 0; r < readers; ++r) {
         if (dep.shards[r].empty()) continue;  // no uplink, nothing to adapt
@@ -329,7 +323,7 @@ struct FleetResult {
         }
         assign[r] = controllers[r].current_index();
       }
-    }
+    }));
   }
 
   // --- Accounting (serial): fold rounds into per-reader outcomes. ---
@@ -366,9 +360,7 @@ struct FleetResult {
   out.mean_discovery_rounds =
       out.discovery_round.empty() ? 0.0
                                   : round_sum / static_cast<double>(out.discovery_round.size());
-  out.metrics.merge(serial_rec.metrics);
-  const auto serial_spans = serial_rec.trace.spans();
-  out.trace.insert(out.trace.end(), serial_spans.begin(), serial_spans.end());
+  out.obs.merge(serial);
   return out;
 }
 

@@ -55,11 +55,11 @@ struct CollisionPoint {
 
 struct CollisionStudyResult {
   std::vector<CollisionPoint> points;
-  obs::MetricsRegistry metrics;
-  std::vector<obs::SpanRecord> trace; ///< empty unless spans are on (RT_OBS_SPAN_CAPACITY)
+  obs::Snapshot obs;  ///< spans stay empty unless RT_OBS_SPAN_CAPACITY is set
 
+  /// Metrics, not spans: spans carry wall-clock timings.
   [[nodiscard]] bool identical(const CollisionStudyResult& o) const {
-    return points == o.points && metrics == o.metrics;
+    return points == o.points && obs.metrics == o.obs.metrics;
   }
 };
 
@@ -85,7 +85,7 @@ struct CollisionStudyResult {
       cfg.interferer_gains.size(),
       std::vector<sim::LinkStats>(static_cast<std::size_t>(cfg.trials)));
 
-  std::vector<std::function<runtime::BatchObs()>> tasks;
+  std::vector<std::function<obs::Snapshot()>> tasks;
   tasks.reserve(cfg.interferer_gains.size() * static_cast<std::size_t>(cfg.trials));
   for (std::size_t i = 0; i < cfg.interferer_gains.size(); ++i) {
     for (int t = 0; t < cfg.trials; ++t) {
@@ -134,10 +134,7 @@ struct CollisionStudyResult {
       });
     }
   }
-  const auto obs =
-      runtime::run_deterministic_batches(std::move(tasks), cfg.threads == 0 ? 1 : cfg.threads);
-  out.metrics.merge(obs.metrics);
-  out.trace.insert(out.trace.end(), obs.spans.begin(), obs.spans.end());
+  out.obs = runtime::run_deterministic_batches(std::move(tasks), cfg.threads);
 
   for (std::size_t i = 0; i < cfg.interferer_gains.size(); ++i) {
     out.points[i].interferer_gain = cfg.interferer_gains[i];

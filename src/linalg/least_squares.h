@@ -50,9 +50,11 @@ namespace detail {
 
 /// MGS with reorthogonalization over the column-major ws.work copy of A
 /// (dimensions already in ws.m/ws.n, ws.q/ws.r already sized). Shared by
-/// the row-major and column-major QR entry points.
+/// the row-major and column-major QR entry points. Returns false, leaving
+/// the decomposition incomplete, at the first column that is
+/// (numerically) inside the span of its predecessors.
 template <typename T>
-void mgs_on_workspace(LsWorkspace<T>& ws) {
+[[nodiscard]] bool mgs_on_workspace(LsWorkspace<T>& ws) {
   const std::size_t m = ws.m;
   const std::size_t n = ws.n;
   for (std::size_t j = 0; j < n; ++j) {
@@ -71,20 +73,22 @@ void mgs_on_workspace(LsWorkspace<T>& ws) {
     const double nv = norm<T>(std::span<const T>(v));
     // Relative rank test: a column (numerically) inside the span of its
     // predecessors makes the system rank deficient.
-    RT_ENSURE(nv > 1e-300 && nv > 1e-10 * original_norm, "QR: rank-deficient matrix");
+    if (!(nv > 1e-300 && nv > 1e-10 * original_norm)) return false;
     ws.r(j, j) = T{nv};
     for (std::size_t k = 0; k < m; ++k) ws.q[j * m + k] = v[k] / T{nv};
   }
+  return true;
 }
 
 }  // namespace detail
 
 /// Thin QR via modified Gram-Schmidt with reorthogonalization, into a
-/// reusable workspace (Q in ws.q, R in ws.r). Requires rows >= cols and
-/// full column rank. The only heap traffic is growth of the workspace
-/// buffers on first use.
+/// reusable workspace (Q in ws.q, R in ws.r). Requires rows >= cols (a
+/// shape error throws); returns false when A is rank deficient, in which
+/// case the workspace holds no usable decomposition. The only heap
+/// traffic is growth of the workspace buffers on first use.
 template <typename T>
-void qr_decompose_into(const Matrix<T>& a, LsWorkspace<T>& ws) {
+[[nodiscard]] bool qr_decompose_into(const Matrix<T>& a, LsWorkspace<T>& ws) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
   RT_ENSURE(m >= n, "QR requires rows >= cols");
@@ -95,7 +99,7 @@ void qr_decompose_into(const Matrix<T>& a, LsWorkspace<T>& ws) {
   ws.work.resize(m * n);
   for (std::size_t j = 0; j < n; ++j)
     for (std::size_t k = 0; k < m; ++k) ws.work[j * m + k] = a(k, j);
-  detail::mgs_on_workspace(ws);
+  return detail::mgs_on_workspace(ws);
 }
 
 /// qr_decompose_into() for a design matrix that is ALREADY column-major
@@ -103,8 +107,8 @@ void qr_decompose_into(const Matrix<T>& a, LsWorkspace<T>& ws) {
 /// copy; the MGS arithmetic -- and therefore the result -- is bit-identical
 /// to the row-major entry point on the same matrix.
 template <typename T>
-void qr_decompose_cm_into(std::span<const T> a_cm, std::size_t m, std::size_t n,
-                          LsWorkspace<T>& ws) {
+[[nodiscard]] bool qr_decompose_cm_into(std::span<const T> a_cm, std::size_t m, std::size_t n,
+                                        LsWorkspace<T>& ws) {
   RT_ENSURE(m >= n, "QR requires rows >= cols");
   RT_ENSURE(a_cm.size() == m * n, "qr_decompose_cm_into size mismatch");
   ws.m = m;
@@ -112,12 +116,13 @@ void qr_decompose_cm_into(std::span<const T> a_cm, std::size_t m, std::size_t n,
   ws.q.resize(m * n);
   ws.r.resize(n, n);
   ws.work.assign(a_cm.begin(), a_cm.end());
-  detail::mgs_on_workspace(ws);
+  return detail::mgs_on_workspace(ws);
 }
 
-/// Solves min ||A x - b|| for the A last passed to qr_decompose_into.
-/// Returns a span over ws.x (valid until the next solve). Reusing the
-/// decomposition amortizes QR across multiple right-hand sides.
+/// Solves min ||A x - b|| for the A last passed to qr_decompose_into,
+/// which must have reported full rank. Returns a span over ws.x (valid
+/// until the next solve). Reusing the decomposition amortizes QR across
+/// multiple right-hand sides.
 template <typename T>
 [[nodiscard]] std::span<const T> solve_after_qr(std::span<const T> b, LsWorkspace<T>& ws) {
   RT_ENSURE(b.size() == ws.m, "solve_after_qr dimension mismatch");
@@ -138,13 +143,15 @@ template <typename T>
 }
 
 /// Minimizes ||A x - b||_2 by thin QR, with zero steady-state
-/// allocations. Returns a span over ws.x (valid until the next solve).
+/// allocations. Returns a span over ws.x (valid until the next solve), or
+/// an empty span when A is rank deficient -- a degenerate fit, which the
+/// caller handles, not a programming error. Shape errors still throw.
 template <typename T>
 [[nodiscard]] std::span<const T> solve_least_squares_into(const Matrix<T>& a,
                                                           std::span<const T> b,
                                                           LsWorkspace<T>& ws) {
   RT_ENSURE(a.rows() == b.size(), "solve_least_squares dimension mismatch");
-  qr_decompose_into(a, ws);
+  if (!qr_decompose_into(a, ws)) return {};
   return solve_after_qr(b, ws);
 }
 

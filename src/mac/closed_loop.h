@@ -8,17 +8,20 @@
 // network-wide most-robust option gives the fixed-rate baseline; the gap
 // between the three goodput curves is what bench_fig18c reports.
 //
-// Determinism contract (the PR 2 invariant): probe packet p of point i is
-// a pure function of (seed, i, p) via rt::split_seed, and every probe
-// writes its estimate into a disjoint pre-sized slot -- so the parallel
-// phase is bit-identical at any thread count, and the controller phase is
-// serial by construction. Probe workspaces are thread-local and reused,
-// so the steady state allocates nothing (the PR 3 invariant).
+// Determinism contract: probe packet p of point i is a pure function of
+// (seed, i, p) via rt::split_seed, and every probe writes its estimate
+// into a disjoint pre-sized slot -- so the probe phase, one task list run
+// by runtime::run_deterministic_batches (inline at one thread), is
+// bit-identical at any thread count, and the controller phase is serial
+// by construction. Probe workspaces are thread-local and reused, so the
+// steady state allocates nothing.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <future>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -28,7 +31,7 @@
 #include "mac/rate_table.h"
 #include "obs/trace.h"
 #include "optics/link_budget.h"
-#include "runtime/thread_pool.h"
+#include "runtime/batch.h"
 #include "sim/link_sim.h"
 #include "sim/packet_workspace.h"
 
@@ -60,7 +63,7 @@ struct ClosedLoopConfig {
   phy::PhyParams probe = probe_params();
   int probe_packets = 12;            ///< probe burst length per distance
   RateControllerConfig controller{};
-  unsigned threads = 1;              ///< probe-phase workers (1 = serial)
+  unsigned threads = 1;              ///< probe-phase workers (<= 1: inline)
   std::uint64_t seed = 2026;
 };
 
@@ -84,12 +87,14 @@ struct ClosedLoopPoint {
 
 struct ClosedLoopResult {
   std::vector<ClosedLoopPoint> points;
-  obs::MetricsRegistry metrics;  ///< probe + controller metrics
+  /// Probe + controller telemetry: closed_loop_probe spans around the
+  /// probes' packet spans, then the control phase's counters.
+  obs::Snapshot obs;
 
-  /// Bitwise equality of everything data-derived: the serial-vs-parallel
-  /// acceptance check of the bench.
+  /// Bitwise equality of everything data-derived (metrics, not spans):
+  /// the serial-vs-parallel acceptance check of the bench.
   [[nodiscard]] bool identical(const ClosedLoopResult& o) const {
-    return points == o.points && metrics == o.metrics;
+    return points == o.points && obs.metrics == o.obs.metrics;
   }
 };
 
@@ -116,8 +121,12 @@ struct ClosedLoopResult {
 
   // Phase 1: probe bursts, fanned as flat (point, packet-batch) tasks.
   // Each probe lands in its own pre-sized slot, so results are identical
-  // at any thread count; per-task metric snapshots merge commutatively.
-  const auto point_sim = [&](std::size_t i) {
+  // at any thread count; per-task snapshots merge in submission order.
+  // The simulators are built first, on the calling thread: all batches
+  // of a point share one (run_packet is const and thread-safe).
+  std::vector<sim::LinkSimulator> sims;
+  sims.reserve(cfg.distances_m.size());
+  for (std::size_t i = 0; i < cfg.distances_m.size(); ++i) {
     sim::ChannelConfig ch;
     ch.snr_override_db = cfg.budget.snr_db_at(cfg.distances_m[i]);
     ch.noise_seed = rt::split_seed(cfg.seed, static_cast<std::uint64_t>(i), 1);
@@ -125,63 +134,31 @@ struct ClosedLoopResult {
     so.seed = rt::split_seed(cfg.seed, static_cast<std::uint64_t>(i), 0);
     so.offline_yaws_deg = {0.0};
     so.shared_offline_model = offline;
-    return sim::LinkSimulator(cfg.probe, cfg.probe.tag_config(), ch, so);
-  };
-  const unsigned workers = cfg.threads == 0 ? 1 : cfg.threads;
-  if (workers <= 1) {
-    // run_packet binds ws.obs internally, so the snapshot must come from
-    // the workspace recorder -- same discipline as the pool tasks below.
-    sim::PacketWorkspace ws;
-    for (std::size_t i = 0; i < cfg.distances_m.size(); ++i) {
-      const auto sim = point_sim(i);
-      ws.obs.clear();
-      const obs::ScopedBind bind(ws.obs);
-      {
-        RT_TRACE_SPAN("closed_loop_probe");
-        for (int p = 0; p < cfg.probe_packets; ++p) {
-          const auto r =
-              sim.run_packet(static_cast<std::uint64_t>(p), kProbePayloadBytes, ws);
-          probes[i][static_cast<std::size_t>(p)] = {r.preamble_found, r.snr_estimate_db};
-        }
-      }
-      out.metrics.merge(ws.obs.metrics);
-    }
-  } else {
-    runtime::ThreadPool pool(workers);
-    std::vector<std::future<obs::MetricsRegistry>> tasks;
-    constexpr int kBatch = 4;
-    for (std::size_t i = 0; i < cfg.distances_m.size(); ++i) {
-      // The simulator is shared by all batches of its point (run_packet is
-      // const and thread-safe); constructing it inside the pool overlaps
-      // per-point setup with probing.
-      auto sim = std::make_shared<const sim::LinkSimulator>(point_sim(i));
-      for (int begin = 0; begin < cfg.probe_packets; begin += kBatch) {
-        const int end = std::min(begin + kBatch, cfg.probe_packets);
-        tasks.push_back(pool.submit([&probes, &cfg, sim, i, begin, end] {
-          static thread_local sim::PacketWorkspace ws;
-          ws.obs.clear();
-          const obs::ScopedBind bind(ws.obs);
-          {
-            RT_TRACE_SPAN("closed_loop_probe");
-            for (int p = begin; p < end; ++p) {
-              const auto r =
-                  sim->run_packet(static_cast<std::uint64_t>(p), kProbePayloadBytes, ws);
-              probes[i][static_cast<std::size_t>(p)] = {r.preamble_found, r.snr_estimate_db};
-            }
-          }
-          return ws.obs.metrics;
-        }));
-      }
-    }
-    for (auto& f : tasks) out.metrics.merge(f.get());
+    sims.emplace_back(cfg.probe, cfg.probe.tag_config(), ch, so);
   }
+  constexpr int kBatch = 4;
+  std::vector<std::function<obs::Snapshot()>> tasks;
+  for (std::size_t i = 0; i < cfg.distances_m.size(); ++i) {
+    for (int begin = 0; begin < cfg.probe_packets; begin += kBatch) {
+      const int end = std::min(begin + kBatch, cfg.probe_packets);
+      tasks.push_back([&probes, &link = sims[i], i, begin, end] {
+        return runtime::record_batch([&] {
+          static thread_local sim::PacketWorkspace ws;
+          RT_TRACE_SPAN("closed_loop_probe");
+          for (int p = begin; p < end; ++p) {
+            const auto r = link.run_packet(static_cast<std::uint64_t>(p), kProbePayloadBytes, ws);
+            probes[i][static_cast<std::size_t>(p)] = {r.preamble_found, r.snr_estimate_db};
+          }
+        });
+      });
+    }
+  }
+  out.obs = runtime::run_deterministic_batches(std::move(tasks), cfg.threads);
 
   // Phase 2: serial control loop per point, in packet order -- the
   // controller state is sequential by nature, so it never runs on the
   // pool. The oracle twin sees the ground-truth SNR at the same cadence.
-  obs::Recorder control_rec;
-  {
-    const obs::ScopedBind bind(control_rec);
+  out.obs.merge(runtime::record_batch([&] {
     const std::size_t baseline_index = table.most_robust_index();
     for (std::size_t i = 0; i < cfg.distances_m.size(); ++i) {
       ClosedLoopPoint& pt = out.points[i];
@@ -215,8 +192,7 @@ struct ClosedLoopResult {
       pt.goodput_baseline_bps = model.goodput_bps(table.option(baseline_index), pt.snr_true_db,
                                                   kGoodputPayloadBytes);
     }
-  }
-  out.metrics.merge(control_rec.metrics);
+  }));
   return out;
 }
 

@@ -11,9 +11,9 @@
 //     strings, no hashing, no heap, so recording is a load + add and a
 //     registry can be copied or returned by value without allocating.
 //   - Lock-free by ownership. A registry is only ever written by the one
-//     worker that owns it (per PacketWorkspace / per sweep batch);
-//     cross-thread aggregation happens by merging snapshots, never by
-//     sharing.
+//     thread that has its recorder bound (per batch, in
+//     runtime::record_batch); cross-thread aggregation happens by merging
+//     snapshots, never by sharing.
 //   - Deterministic merge. Counters and histogram buckets are integer
 //     sums and min/max is order-free, so any partition of a packet set
 //     merges to identical registries -- the same discipline as

@@ -1,4 +1,4 @@
-// Scoped stage tracing: RT_TRACE_SPAN + the per-workspace TraceBuffer.
+// Scoped stage tracing: RT_TRACE_SPAN + the per-recorder TraceBuffer.
 //
 // This is the timing half of the observability layer. Usage in a stage:
 //
@@ -7,9 +7,14 @@
 //     ...
 //   }
 //
-// and once per worker/packet-owner, binding the destination:
+// Stages never choose the destination: they record into whatever
+// recorder the calling thread has bound. In src/ only
+// runtime::record_batch binds one, per batch of work; a bench or test
+// that drives stages directly binds its own:
 //
-//   obs::ScopedBind bind(ws.obs);   // thread-local current recorder
+//   obs::Recorder rec;
+//   { const obs::ScopedBind bind(rec); (void)sim.run_packet(0, 16, ws); }
+//   report.add_obs(rec.snapshot());
 //
 // Cost model (every build records; there is no compile-time switch):
 //   - Counters and histograms (RT_OBS_COUNT / RT_OBS_OBSERVE) always
@@ -60,7 +65,8 @@ class TraceBuffer {
 
   /// parse_capacity() of the RT_OBS_SPAN_CAPACITY environment variable,
   /// 0 (spans off) when it is unset. Read once per buffer construction
-  /// (cold).
+  /// and once per runtime::record_batch call (cold: per batch, not per
+  /// span).
   [[nodiscard]] static std::size_t default_capacity();
 
   /// `text` as a whole-string decimal span count. Anything else (empty,
@@ -93,9 +99,23 @@ class TraceBuffer {
 /// Dense ordinal of the calling thread (0, 1, 2, ... in first-use order).
 [[nodiscard]] std::uint32_t thread_ordinal() noexcept;
 
-/// The per-worker recording context: spans + metrics owned by exactly one
-/// thread at a time. Embedded in sim::PacketWorkspace so every pipeline
-/// worker gets one for free.
+/// A recorder's contents, copied out: what a batch, a study or a bench
+/// run reports. Merging is associative (integer sums + append), so
+/// merging snapshots in submission order yields the same registry and
+/// trace regardless of which worker ran which batch.
+struct Snapshot {
+  MetricsRegistry metrics;
+  std::vector<SpanRecord> spans;  ///< empty unless the recorder had span storage
+
+  Snapshot& merge(const Snapshot& o) {
+    metrics.merge(o.metrics);
+    spans.insert(spans.end(), o.spans.begin(), o.spans.end());
+    return *this;
+  }
+};
+
+/// The recording context: spans + metrics owned by exactly one thread at
+/// a time, and bound to it with ScopedBind.
 struct Recorder {
   TraceBuffer trace;
   MetricsRegistry metrics;
@@ -105,6 +125,11 @@ struct Recorder {
     trace.clear();
     metrics.reset();
     open_depth = 0;
+  }
+
+  [[nodiscard]] Snapshot snapshot() const {
+    const auto spans = trace.spans();
+    return {metrics, {spans.begin(), spans.end()}};
   }
 };
 

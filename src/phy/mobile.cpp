@@ -171,14 +171,11 @@ MobileDemodulator::Result MobileDemodulator::demodulate(const sig::IqWaveform& r
       design(i, 1) = std::conj(x);
       design(i, 2) = Complex(1.0, 0.0);
     }
-    try {
-      const auto sol = linalg::solve_least_squares_into(
-          design, std::span<const Complex>(sync_reference_), ls);
-      anchors.push_back({block.sync_begin_slot + 0.5 * cfg_.sync_slots, sol[0], sol[1], sol[2]});
-      ++out.blocks_resynced;
-    } catch (const PreconditionError&) {
-      // Degenerate sync window: skip this anchor.
-    }
+    const auto sol =
+        linalg::solve_least_squares_into(design, std::span<const Complex>(sync_reference_), ls);
+    if (sol.empty()) continue;  // degenerate sync window: skip this anchor
+    anchors.push_back({block.sync_begin_slot + 0.5 * cfg_.sync_slots, sol[0], sol[1], sol[2]});
+    ++out.blocks_resynced;
   }
 
   // Coefficients at an arbitrary slot: linear interpolation between the

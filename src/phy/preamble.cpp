@@ -41,10 +41,9 @@ double PreambleProcessor::regress(const sig::IqWaveform& rx, std::size_t offset,
     ws.design(i, 2) = Complex(1.0, 0.0);
     ws.y[i] = reference_[i];
   }
-  std::span<const Complex> sol;
-  try {
-    sol = linalg::solve_least_squares_into(ws.design, std::span<const Complex>(ws.y), ws.ls);
-  } catch (const PreconditionError&) {
+  const auto sol =
+      linalg::solve_least_squares_into(ws.design, std::span<const Complex>(ws.y), ws.ls);
+  if (sol.empty()) {
     // X and conj(X) become linearly dependent when the signal is confined
     // to one polarization axis (single-channel baselines); refit without
     // the I/Q-imbalance term.
@@ -53,12 +52,9 @@ double PreambleProcessor::regress(const sig::IqWaveform& rx, std::size_t offset,
       ws.reduced(i, 0) = ws.design(i, 0);
       ws.reduced(i, 1) = Complex(1.0, 0.0);
     }
-    std::span<const Complex> sol2;
-    try {
-      sol2 = linalg::solve_least_squares_into(ws.reduced, std::span<const Complex>(ws.y), ws.ls);
-    } catch (const PreconditionError&) {
-      return 1.0;  // fully degenerate window (e.g. all-zero signal)
-    }
+    const auto sol2 =
+        linalg::solve_least_squares_into(ws.reduced, std::span<const Complex>(ws.y), ws.ls);
+    if (sol2.empty()) return 1.0;  // fully degenerate window (e.g. all-zero signal)
     a = sol2[0];
     b = Complex{};
     c = sol2[1];

@@ -170,7 +170,12 @@ void OnlineTrainer::train_into(const PhyParams& params, const OfflineModel& mode
   // A is real; solve the complex fit as two real least-squares problems
   // off one QR decomposition.
   RT_OBS_COUNT(kLsSolves, 2);
-  linalg::qr_decompose_cm_into(std::span<const double>(ws.a_cm), rows, unknowns, ws.ls);
+  const bool full_rank =
+      linalg::qr_decompose_cm_into(std::span<const double>(ws.a_cm), rows, unknowns, ws.ls);
+  // The design comes from the offline bases and the training schedule,
+  // never from the received samples: rank loss is a configuration error,
+  // not a degenerate packet.
+  RT_ENSURE(full_rank, "online training design matrix is rank deficient");
   const auto re_sol = linalg::solve_after_qr(std::span<const double>(b_re), ws.ls);
   ws.g_re.assign(re_sol.begin(), re_sol.end());
   const auto im_sol = linalg::solve_after_qr(std::span<const double>(b_im), ws.ls);
@@ -261,16 +266,14 @@ void OnlineTrainer::calibrate_pixel_gains_into(const PhyParams& params,
     }
   }
 
-  try {
-    const auto gains = linalg::solve_least_squares_into(a, std::span<const double>(b), ws.ls);
-    RT_DCHECK_FINITE(gains);
-    ws.pixel_gains.resize(gains.size());
-    for (std::size_t i = 0; i < gains.size(); ++i) ws.pixel_gains[i] = Complex(gains[i], 0.0);
-    bank.set_pixel_gains(std::span<const Complex>(ws.pixel_gains), bits);
-  } catch (const PreconditionError&) {
-    // Degenerate calibration (e.g. a pixel never excited): keep unity
-    // gains rather than fail the packet.
-  }
+  const auto gains = linalg::solve_least_squares_into(a, std::span<const double>(b), ws.ls);
+  // Degenerate calibration (e.g. a pixel never excited): keep unity gains
+  // rather than fail the packet.
+  if (gains.empty()) return;
+  RT_DCHECK_FINITE(gains);
+  ws.pixel_gains.resize(gains.size());
+  for (std::size_t i = 0; i < gains.size(); ++i) ws.pixel_gains[i] = Complex(gains[i], 0.0);
+  bank.set_pixel_gains(std::span<const Complex>(ws.pixel_gains), bits);
 }
 
 }  // namespace rt::phy

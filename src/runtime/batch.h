@@ -1,15 +1,16 @@
-// Deterministic batch fan-out: the sweep engine's merge discipline as a
-// reusable primitive.
+// Deterministic batch fan-out: the one place in src/ that runs work on
+// threads, and the one place that binds a recorder.
 //
-// parallel_sweep (runtime/sweep.cpp) established the pattern every
-// campaign in this codebase follows: tasks built on disjoint
-// rt::split_seed slots write their data into pre-sized shared state (so
-// results are bit-identical at any thread count), and each task's
-// observability snapshot is merged in *submission* order (so the merged
-// registry and trace are too). This header factors that discipline out
-// of the sweep engine so higher layers (mac::run_closed_loop_study's
-// descendants, fleet::run_fleet_campaign) can fan work out without
-// re-implementing the recorder scoping and merge rules.
+// Every campaign in this codebase (runtime::parallel_sweep,
+// mac::run_closed_loop_study, fleet::run_fleet_campaign,
+// fleet::run_collision_study) follows one discipline: tasks built on
+// disjoint rt::split_seed slots write their data into pre-sized shared
+// state (so results are bit-identical at any thread count), and each task
+// records inside record_batch, whose snapshots are merged in *submission*
+// order (so the merged registry and trace are too). Pipeline stages bind
+// nothing: run_packet, CodedLink, StreamingReceiver and every phy stage
+// record into whatever recorder their caller bound -- inside a campaign,
+// the batch's.
 #pragma once
 
 #include <functional>
@@ -17,43 +18,32 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.h"
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
 
 namespace rt::runtime {
 
-/// One task's observability snapshot. Merging is associative (integer
-/// sums + append), so merging snapshots in submission order yields the
-/// same registry and trace regardless of which worker ran which task.
-struct BatchObs {
-  obs::MetricsRegistry metrics;
-  std::vector<obs::SpanRecord> spans;
-
-  BatchObs& merge(const BatchObs& o) {
-    metrics.merge(o.metrics);
-    spans.insert(spans.end(), o.spans.begin(), o.spans.end());
-    return *this;
-  }
-};
-
-/// Runs `work` inside a per-batch recording scope: the calling worker's
+/// Runs `work` inside a per-batch recording scope: the calling thread's
 /// thread-local recorder is cleared, bound, and snapshotted after `work`
 /// returns -- so the snapshot covers exactly this batch, making the
-/// merged result independent of which worker ran which batch (the same
-/// scoping parallel_sweep applies around each packet batch).
+/// merged result independent of which worker ran which batch. Serial
+/// phases of a campaign record through it too. It keeps one recorder per
+/// thread, so it must not nest on one thread.
 template <typename Work>
-[[nodiscard]] BatchObs record_batch(Work&& work) {
+[[nodiscard]] obs::Snapshot record_batch(Work&& work) {
   static thread_local obs::Recorder rec;
+  RT_ENSURE(obs::current_recorder() != &rec, "record_batch cannot nest on one thread");
+  // A thread that outlives a change of RT_OBS_SPAN_CAPACITY (the caller
+  // of an inline run, in a process that runs many tests) rebuilds its
+  // recorder, so every batch records the spans a fresh pool worker would.
+  if (rec.trace.capacity() != obs::TraceBuffer::default_capacity()) rec = obs::Recorder();
   rec.clear();
-  BatchObs out;
   {
     const obs::ScopedBind bind(rec);
     std::forward<Work>(work)();
   }
-  out.metrics = rec.metrics;
-  const auto spans = rec.trace.spans();
-  out.spans.assign(spans.begin(), spans.end());
-  return out;
+  return rec.snapshot();
 }
 
 /// Executes every task exactly once and merges their snapshots in
@@ -62,15 +52,15 @@ template <typename Work>
 /// reference the determinism tests compare against. Tasks must follow
 /// the sweep contract: all data writes go to disjoint pre-sized slots,
 /// all randomness comes from split_seed streams keyed by task indices.
-[[nodiscard]] inline BatchObs run_deterministic_batches(
-    std::vector<std::function<BatchObs()>> tasks, unsigned threads) {
-  BatchObs merged;
+[[nodiscard]] inline obs::Snapshot run_deterministic_batches(
+    std::vector<std::function<obs::Snapshot()>> tasks, unsigned threads) {
+  obs::Snapshot merged;
   if (threads <= 1) {
     for (auto& task : tasks) merged.merge(task());
     return merged;
   }
   ThreadPool pool(threads);
-  std::vector<std::future<BatchObs>> futures;
+  std::vector<std::future<obs::Snapshot>> futures;
   futures.reserve(tasks.size());
   for (auto& task : tasks) futures.push_back(pool.submit(std::move(task)));
   for (auto& f : futures) merged.merge(f.get());

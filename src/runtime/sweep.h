@@ -1,6 +1,6 @@
 // Parallel BER-sweep engine: fans sweep points and per-point packet
-// batches across a thread pool with bit-identical results at any thread
-// count.
+// batches out through runtime::run_deterministic_batches, with
+// bit-identical results at any thread count.
 //
 // Determinism contract: LinkSimulator::run_packet(p) is a pure function
 // of (sim seed, channel noise seed, p) via counter-based RNG splitting
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "obs/trace.h"
-#include "runtime/thread_pool.h"
 #include "sim/link_sim.h"
 
 namespace rt::runtime {
@@ -31,7 +30,7 @@ struct SweepPoint {
 struct SweepOptions {
   int packets = 10;             ///< packets per point (RT_BENCH_PACKETS)
   std::size_t payload_bytes = 32;  ///< payload per packet (RT_BENCH_PAYLOAD)
-  unsigned threads = 0;         ///< worker count; 0 = sweep_threads()
+  unsigned threads = 0;         ///< worker count; 0 = hardware_threads()
   int batch_packets = 1;        ///< packets per task (load-balance grain)
 };
 
@@ -40,22 +39,18 @@ struct SweepResult {
   double wall_s = 0.0;                ///< wall-clock time of the sweep
   unsigned threads = 1;               ///< workers actually used
 
-  // Observability. Each batch task records into its worker's recorder
-  // and returns a snapshot with its stats; the snapshots are merged here.
-  // Data-derived metrics are bit-identical at any thread count (the
-  // LinkStats::merge discipline); timing samples (queue_wait_us, span
-  // durations) are wall-clock and vary run to run. `trace` stays empty
-  // unless the worker recorders have span storage (RT_OBS_SPAN_CAPACITY).
-  obs::MetricsRegistry metrics;
-  std::vector<obs::SpanRecord> trace;  ///< all batch spans, submission order
+  /// Every packet batch's counters and spans (a sweep_batch span around
+  /// the batch's packet spans), merged in submission order. Data-derived
+  /// metrics are bit-identical at any thread count (the LinkStats::merge
+  /// discipline); timing samples (queue_wait_us, span durations) are
+  /// wall-clock and vary run to run. `obs.spans` stays empty unless
+  /// RT_OBS_SPAN_CAPACITY gives the batch recorders span storage. Building
+  /// the simulators records nothing.
+  obs::Snapshot obs;
 };
 
-/// Runs every point on a private pool of `options.threads` workers.
+/// Runs every point on `options.threads` workers (inline at one).
 [[nodiscard]] SweepResult parallel_sweep(std::span<const SweepPoint> points,
                                          const SweepOptions& options = {});
-
-/// Same, on a caller-owned pool (reused across sweeps).
-[[nodiscard]] SweepResult parallel_sweep(std::span<const SweepPoint> points,
-                                         const SweepOptions& options, ThreadPool& pool);
 
 }  // namespace rt::runtime

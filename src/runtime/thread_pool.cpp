@@ -2,21 +2,11 @@
 // submit()'s RT_ENSURE lives in the header)
 #include "runtime/thread_pool.h"
 
-#include <cstdlib>
-
 namespace rt::runtime {
 
 unsigned hardware_threads() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1U : n;
-}
-
-unsigned sweep_threads() {
-  // rt-check: determinism-ok (thread-count knob only; sweep results are bit-identical at any thread count)
-  const char* v = std::getenv("RT_BENCH_THREADS");
-  if (v == nullptr || *v == '\0') return hardware_threads();
-  const int n = std::atoi(v);
-  return n < 1 ? 1U : narrow_cast<unsigned>(n);
 }
 
 ThreadPool::ThreadPool(unsigned threads) {

@@ -1,4 +1,5 @@
-// Minimal fixed-size thread pool for the parallel sweep engine.
+// Minimal fixed-size thread pool behind runtime::run_deterministic_batches
+// (runtime/batch.h), the one fan-out in src/.
 //
 // Deliberately small: one FIFO queue, std::future results, exceptions
 // propagated through std::packaged_task. Determinism is NOT the pool's
@@ -25,14 +26,10 @@ namespace rt::runtime {
 /// report 0 on exotic platforms).
 [[nodiscard]] unsigned hardware_threads();
 
-/// Worker count for sweep-style work: the RT_BENCH_THREADS environment
-/// knob when set (clamped to >= 1), else hardware_threads().
-[[nodiscard]] unsigned sweep_threads();
-
 class ThreadPool {
  public:
   /// Spawns `threads` workers (floored to 1).
-  explicit ThreadPool(unsigned threads = sweep_threads());
+  explicit ThreadPool(unsigned threads);
 
   /// Drains all queued work, then joins the workers: every future handed
   /// out by submit() is ready after destruction.

@@ -128,7 +128,6 @@ class CodedLink {
                                                    std::span<const std::uint8_t> info_bits,
                                                    PacketWorkspace& ws,
                                                    DecodeMode mode = DecodeMode::kSoft) const {
-    const obs::ScopedBind obs_bind(ws.obs);
     const std::size_t info_n = info_bits.size();
     {
       RT_TRACE_SPAN("code_encode");

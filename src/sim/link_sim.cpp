@@ -56,12 +56,10 @@ LinkSimulator::LinkSimulator(const phy::PhyParams& params, const lcm::TagConfig&
   }
 }
 
-LinkSimulator::PacketOutcome LinkSimulator::transmit_into(
+PacketOutcome LinkSimulator::transmit_into(
     std::span<const std::uint8_t> payload_bits, Rng& pad_rng, Rng& noise_rng,
     PacketWorkspace& ws) const {
   RT_ENSURE(!payload_bits.empty(), "packets need a non-empty payload");
-  // All stage spans/metrics of this packet land in the workspace recorder.
-  const obs::ScopedBind obs_bind(ws.obs);
   RT_TRACE_SPAN("packet");
   render_into(payload_bits, pad_rng, noise_rng, ws);
   const auto& pkt = ws.schedule;
@@ -125,7 +123,7 @@ constexpr std::uint64_t kNoiseStream = 2;
 
 }  // namespace
 
-LinkSimulator::PacketOutcome LinkSimulator::run_packet(std::uint64_t packet_index,
+PacketOutcome LinkSimulator::run_packet(std::uint64_t packet_index,
                                                        std::size_t payload_bytes) const {
   PacketWorkspace ws;
   auto out = run_packet(packet_index, payload_bytes, ws);
@@ -135,7 +133,7 @@ LinkSimulator::PacketOutcome LinkSimulator::run_packet(std::uint64_t packet_inde
   return out;
 }
 
-LinkSimulator::PacketOutcome LinkSimulator::run_packet(std::uint64_t packet_index,
+PacketOutcome LinkSimulator::run_packet(std::uint64_t packet_index,
                                                        std::size_t payload_bytes,
                                                        PacketWorkspace& ws) const {
   RT_ENSURE(payload_bytes >= 1, "need at least one payload byte");
@@ -147,7 +145,7 @@ LinkSimulator::PacketOutcome LinkSimulator::run_packet(std::uint64_t packet_inde
   return transmit_into(ws.payload, pad_rng, noise_rng, ws);
 }
 
-LinkSimulator::PacketOutcome LinkSimulator::run_packet_bits(
+PacketOutcome LinkSimulator::run_packet_bits(
     std::uint64_t packet_index, std::span<const std::uint8_t> payload_bits,
     PacketWorkspace& ws) const {
   // Same pad/noise sub-streams as run_packet; the payload stream is simply
@@ -161,7 +159,6 @@ LinkSimulator::RenderedPacket LinkSimulator::render_packet_rx(std::uint64_t pack
                                                               std::size_t payload_bytes,
                                                               PacketWorkspace& ws) const {
   RT_ENSURE(payload_bytes >= 1, "need at least one payload byte");
-  const obs::ScopedBind obs_bind(ws.obs);
   // Exactly run_packet's seed derivations, so the rendered waveform is
   // bit-identical to what the packet-at-a-time path demodulates.
   Rng payload_rng(split_seed(opts_.seed, packet_index, kPayloadStream));
@@ -180,13 +177,8 @@ LinkStats LinkSimulator::run(int packets, std::size_t payload_bytes) const {
   RT_ENSURE(packets >= 1, "need at least one packet");
   LinkStats stats;
   PacketWorkspace ws;
-  for (int p = 0; p < packets; ++p) {
-    const auto outcome = run_packet(static_cast<std::uint64_t>(p), payload_bytes, ws);
-    ++stats.packets;
-    if (!outcome.preamble_found) ++stats.preamble_failures;
-    stats.bit_errors += outcome.bit_errors;
-    stats.total_bits += outcome.bits;
-  }
+  for (int p = 0; p < packets; ++p)
+    stats.add(run_packet(static_cast<std::uint64_t>(p), payload_bytes, ws));
   return stats;
 }
 

@@ -37,6 +37,23 @@ struct SimOptions {
   bool export_soft_bits = false;
 };
 
+/// What one packet's trip through TX -> channel -> RX produced.
+struct PacketOutcome {
+  bool preamble_found = false;
+  std::size_t bit_errors = 0;
+  std::size_t bits = 0;
+  /// Receiver-side uplink SNR estimate from the fitted preamble (dB),
+  /// always finite; meaningful only when `preamble_found`. This is the
+  /// quantity the closed rate-adaptation loop feeds to mac::RateTable.
+  double snr_estimate_db = 0.0;
+  std::vector<std::uint8_t> received_bits;  ///< demodulated payload (empty if lost)
+  /// Per-bit LLRs aligned with the payload (positive = bit 0). Only
+  /// filled by the workspace overloads when SimOptions::export_soft_bits
+  /// is set and the preamble was found; views ws.result.soft_bits, so it
+  /// is invalidated by the next packet on the same workspace.
+  std::span<const float> soft_bits;
+};
+
 struct LinkStats {
   int packets = 0;
   int preamble_failures = 0;
@@ -51,6 +68,15 @@ struct LinkStats {
   }
   [[nodiscard]] double packet_loss() const {
     return packets == 0 ? 0.0 : static_cast<double>(preamble_failures) / packets;
+  }
+
+  /// Counts one packet; a lost preamble counts all of its bits as errors.
+  LinkStats& add(const PacketOutcome& o) {
+    ++packets;
+    if (!o.preamble_found) ++preamble_failures;
+    bit_errors += o.bit_errors;
+    total_bits += o.bits;
+    return *this;
   }
 
   /// Accumulates another batch. All fields are plain sums, so merging is
@@ -80,22 +106,6 @@ class LinkSimulator {
   LinkSimulator(const phy::PhyParams& params, const lcm::TagConfig& tag_config,
                 const ChannelConfig& channel_config, const SimOptions& options = {});
 
-  /// What one packet's trip through TX -> channel -> RX produced.
-  struct PacketOutcome {
-    bool preamble_found = false;
-    std::size_t bit_errors = 0;
-    std::size_t bits = 0;
-    /// Receiver-side uplink SNR estimate from the fitted preamble (dB),
-    /// always finite; meaningful only when `preamble_found`. This is the
-    /// quantity the closed rate-adaptation loop feeds to mac::RateTable.
-    double snr_estimate_db = 0.0;
-    std::vector<std::uint8_t> received_bits;  ///< demodulated payload (empty if lost)
-    /// Per-bit LLRs aligned with the payload (positive = bit 0). Only
-    /// filled by the workspace overloads when SimOptions::export_soft_bits
-    /// is set and the preamble was found; views ws.result.soft_bits, so it
-    /// is invalidated by the next packet on the same workspace.
-    std::span<const float> soft_bits;
-  };
   /// Runs packet number `packet_index` of the paper's BER methodology
   /// (random payload, random start padding, fresh channel noise) as a pure
   /// function of (options.seed, channel noise_seed, packet_index): the

@@ -8,7 +8,8 @@
 // several. After a warm-up packet the steady-state hot path performs zero
 // heap allocations (tests/test_alloc.cpp locks this down). Workspaces are
 // reused across packets but never shared across threads -- the parallel
-// sweep engine keeps one per worker (thread_local).
+// sweep engine keeps one per worker (thread_local). It holds no recorder:
+// the pipeline records into whatever recorder its caller bound.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +17,6 @@
 
 #include "coding/coded_frame.h"
 #include "lcm/tag_array.h"
-#include "obs/trace.h"
 #include "phy/demodulator.h"
 #include "phy/modulator.h"
 
@@ -42,10 +42,6 @@ struct PacketWorkspace {
   coding::CodedFrameWorkspace coded;
   std::vector<std::uint8_t> coded_tx_bits;
   std::vector<std::uint8_t> info_bits;
-
-  // Observability. The pipeline binds this recorder (thread-local) for
-  // the duration of each packet, so stage spans and metrics land here.
-  obs::Recorder obs;
 };
 
 }  // namespace rt::sim

@@ -61,7 +61,6 @@ StreamingReceiver::StreamingReceiver(const phy::Demodulator& demod, const Stream
 }
 
 void StreamingReceiver::push_samples(std::span<const sig::Complex> chunk, FrameSink& sink) {
-  const obs::ScopedBind obs_bind(obs_);
   stats_.samples_pushed += chunk.size();
   RT_OBS_COUNT(kStreamSamplesPushed, chunk.size());
   std::size_t off = 0;
@@ -79,7 +78,6 @@ void StreamingReceiver::push_samples(std::span<const sig::Complex> chunk, FrameS
 }
 
 void StreamingReceiver::flush(FrameSink& sink) {
-  const obs::ScopedBind obs_bind(obs_);
   advance(sink);
   if (state_ == State::kSynced) static_cast<void>(resolve_sync(/*clip=*/true));
   if (state_ == State::kDecoding) {

@@ -32,6 +32,9 @@
 //     samples run_packet would).
 //   - Zero allocations in steady state: all buffers are sized at
 //     construction (tests/test_alloc.cpp).
+//   - No recorder of its own: push_samples and flush record their
+//     stream_* counters and stage spans into whatever recorder the caller
+//     bound, like every pipeline stage.
 #pragma once
 
 #include <cstddef>
@@ -120,9 +123,6 @@ class StreamingReceiver {
   enum class State { kSearching, kSynced, kDecoding };
   [[nodiscard]] State state() const { return state_; }
 
-  /// Stage spans/counters recorded while pushing.
-  [[nodiscard]] obs::Recorder& recorder() { return obs_; }
-
  private:
   void advance(FrameSink& sink);
   [[nodiscard]] bool step_searching();
@@ -186,7 +186,6 @@ class StreamingReceiver {
   phy::DemodResult result_;
 
   StreamStats stats_;
-  obs::Recorder obs_;
 };
 
 }  // namespace rt::stream

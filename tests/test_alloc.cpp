@@ -111,16 +111,18 @@ TEST(AllocationRegression, SteadyStatePacketPipelineIsAllocationFree) {
   for (const std::size_t spans : kSpanCapacities) {
     SCOPED_TRACE(testing::Message() << "span capacity " << spans);
     PacketWorkspace ws;
-    ws.obs.trace = obs::TraceBuffer(spans);
+    obs::Recorder rec;
+    rec.trace = obs::TraceBuffer(spans);
+    const obs::ScopedBind bind(rec);
     // Warm-up: one pass over the packet indices the measured phase
     // replays, so every buffer has reached its steady-state capacity.
     for (std::uint64_t i = 0; i < 3; ++i) {
       const auto out = sim.run_packet(i, 8, ws);
       ASSERT_TRUE(out.preamble_found) << "packet " << i << " must decode for full-path coverage";
     }
-    const std::uint64_t packets_before = ws.obs.metrics.count(obs::Counter::kPacketsSimulated);
-    const std::uint64_t dfe_before = ws.obs.metrics.count(obs::Counter::kDfeBranchesExpanded);
-    const std::size_t spans_before = ws.obs.trace.size();
+    const std::uint64_t packets_before = rec.metrics.count(obs::Counter::kPacketsSimulated);
+    const std::uint64_t dfe_before = rec.metrics.count(obs::Counter::kDfeBranchesExpanded);
+    const std::size_t spans_before = rec.trace.size();
 
     g_allocs.store(0);
     g_counting.store(true);
@@ -142,10 +144,10 @@ TEST(AllocationRegression, SteadyStatePacketPipelineIsAllocationFree) {
     EXPECT_EQ(g_allocs.load(), 0u)
         << "the steady-state packet pipeline allocated on the heap (" << g_allocs.load()
         << " allocations across 3 packets; total bit errors " << errors << ")";
-    EXPECT_EQ(ws.obs.metrics.count(obs::Counter::kPacketsSimulated) - packets_before, 3u);
-    EXPECT_GT(ws.obs.metrics.count(obs::Counter::kDfeBranchesExpanded), dfe_before);
-    EXPECT_EQ(ws.obs.trace.size() > spans_before, spans > 0);
-    EXPECT_EQ(ws.obs.trace.dropped(), 0u);
+    EXPECT_EQ(rec.metrics.count(obs::Counter::kPacketsSimulated) - packets_before, 3u);
+    EXPECT_GT(rec.metrics.count(obs::Counter::kDfeBranchesExpanded), dfe_before);
+    EXPECT_EQ(rec.trace.size() > spans_before, spans > 0);
+    EXPECT_EQ(rec.trace.dropped(), 0u);
   }
 }
 
@@ -180,13 +182,24 @@ TEST(AllocationRegression, SteadyStateCodedPacketPipelineIsAllocationFree) {
     // packet.
     PacketWorkspace cc_ws;
     PacketWorkspace rs_ws;  // soft and hard share one shape, hence one ws
-    cc_ws.obs.trace = obs::TraceBuffer(spans);
-    rs_ws.obs.trace = obs::TraceBuffer(spans);
+    obs::Recorder cc_rec;
+    obs::Recorder rs_rec;
+    cc_rec.trace = obs::TraceBuffer(spans);
+    rs_rec.trace = obs::TraceBuffer(spans);
     const auto run_once = [&](std::size_t& errors) {
       for (std::uint64_t i = 0; i < 2; ++i) {
-        const auto a = cc.run_packet(i, 8, cc_ws, CodedLink::DecodeMode::kSoft);
-        const auto b = rs.run_packet(i, 8, rs_ws, CodedLink::DecodeMode::kSoft);
-        const auto c = rs.run_packet(i, 8, rs_ws, CodedLink::DecodeMode::kHard);
+        CodedPacketOutcome a;
+        CodedPacketOutcome b;
+        CodedPacketOutcome c;
+        {
+          const obs::ScopedBind bind(cc_rec);
+          a = cc.run_packet(i, 8, cc_ws, CodedLink::DecodeMode::kSoft);
+        }
+        {
+          const obs::ScopedBind bind(rs_rec);
+          b = rs.run_packet(i, 8, rs_ws, CodedLink::DecodeMode::kSoft);
+          c = rs.run_packet(i, 8, rs_ws, CodedLink::DecodeMode::kHard);
+        }
         ASSERT_TRUE(a.preamble_found && b.preamble_found && c.preamble_found)
             << "packet " << i << " must decode for full-path coverage";
         errors += a.info_bit_errors + b.info_bit_errors + c.info_bit_errors;
@@ -197,9 +210,9 @@ TEST(AllocationRegression, SteadyStateCodedPacketPipelineIsAllocationFree) {
     // the deterministic decode paths (GMD retries included) are identical.
     std::size_t warm_errors = 0;
     run_once(warm_errors);
-    const std::uint64_t cc_before = cc_ws.obs.metrics.count(obs::Counter::kCodedFrames);
-    const std::uint64_t rs_before = rs_ws.obs.metrics.count(obs::Counter::kCodedFrames);
-    const std::size_t spans_before = cc_ws.obs.trace.size();
+    const std::uint64_t cc_before = cc_rec.metrics.count(obs::Counter::kCodedFrames);
+    const std::uint64_t rs_before = rs_rec.metrics.count(obs::Counter::kCodedFrames);
+    const std::size_t spans_before = cc_rec.trace.size();
 
     g_allocs.store(0);
     g_counting.store(true);
@@ -211,10 +224,10 @@ TEST(AllocationRegression, SteadyStateCodedPacketPipelineIsAllocationFree) {
     EXPECT_EQ(g_allocs.load(), 0u)
         << "the steady-state coded packet pipeline allocated on the heap (" << g_allocs.load()
         << " allocations across 6 coded frames)";
-    EXPECT_EQ(cc_ws.obs.metrics.count(obs::Counter::kCodedFrames) - cc_before, 2u);
-    EXPECT_EQ(rs_ws.obs.metrics.count(obs::Counter::kCodedFrames) - rs_before, 4u);
-    EXPECT_EQ(cc_ws.obs.trace.size() > spans_before, spans > 0);
-    EXPECT_EQ(cc_ws.obs.trace.dropped() + rs_ws.obs.trace.dropped(), 0u);
+    EXPECT_EQ(cc_rec.metrics.count(obs::Counter::kCodedFrames) - cc_before, 2u);
+    EXPECT_EQ(rs_rec.metrics.count(obs::Counter::kCodedFrames) - rs_before, 4u);
+    EXPECT_EQ(cc_rec.trace.size() > spans_before, spans > 0);
+    EXPECT_EQ(cc_rec.trace.dropped() + rs_rec.trace.dropped(), 0u);
   }
 }
 
@@ -238,7 +251,9 @@ TEST(AllocationRegression, WorkspaceSharedAcrossSimulatorsIsAllocationFree) {
   for (const std::size_t spans : kSpanCapacities) {
     SCOPED_TRACE(testing::Message() << "span capacity " << spans);
     PacketWorkspace ws;
-    ws.obs.trace = obs::TraceBuffer(spans);
+    obs::Recorder rec;
+    rec.trace = obs::TraceBuffer(spans);
+    const obs::ScopedBind bind(rec);
     const auto run_once = [&](std::size_t& errors) {
       for (std::uint64_t i = 0; i < 2; ++i) {
         const auto a = sim_near.run_packet(i, 8, ws);
@@ -252,8 +267,8 @@ TEST(AllocationRegression, WorkspaceSharedAcrossSimulatorsIsAllocationFree) {
     // Warm-up on both simulators, replaying the measured packet indices.
     std::size_t warm_errors = 0;
     run_once(warm_errors);
-    const std::uint64_t packets_before = ws.obs.metrics.count(obs::Counter::kPacketsSimulated);
-    const std::size_t spans_before = ws.obs.trace.size();
+    const std::uint64_t packets_before = rec.metrics.count(obs::Counter::kPacketsSimulated);
+    const std::size_t spans_before = rec.trace.size();
 
     g_allocs.store(0);
     g_counting.store(true);
@@ -265,9 +280,9 @@ TEST(AllocationRegression, WorkspaceSharedAcrossSimulatorsIsAllocationFree) {
     EXPECT_EQ(g_allocs.load(), 0u)
         << "a workspace alternating between two simulators allocated on the heap ("
         << g_allocs.load() << " allocations across 4 packets)";
-    EXPECT_EQ(ws.obs.metrics.count(obs::Counter::kPacketsSimulated) - packets_before, 4u);
-    EXPECT_EQ(ws.obs.trace.size() > spans_before, spans > 0);
-    EXPECT_EQ(ws.obs.trace.dropped(), 0u);
+    EXPECT_EQ(rec.metrics.count(obs::Counter::kPacketsSimulated) - packets_before, 4u);
+    EXPECT_EQ(rec.trace.size() > spans_before, spans > 0);
+    EXPECT_EQ(rec.trace.dropped(), 0u);
   }
 }
 
@@ -297,7 +312,9 @@ TEST(AllocationRegression, SteadyStateStreamingReceiverIsAllocationFree) {
   for (const std::size_t spans : kSpanCapacities) {
     SCOPED_TRACE(testing::Message() << "span capacity " << spans);
     stream::StreamingReceiver rx(sim.demodulator(), opts);
-    rx.recorder().trace = obs::TraceBuffer(spans);
+    obs::Recorder rec;
+    rec.trace = obs::TraceBuffer(spans);
+    const obs::ScopedBind bind(rec);
     CountSink sink;
     const auto run_once = [&] {
       const std::span<const sig::Complex> all(truth.waveform.samples);
@@ -310,7 +327,6 @@ TEST(AllocationRegression, SteadyStateStreamingReceiverIsAllocationFree) {
     // inner packet-pipeline workspace) reaches steady-state capacity.
     run_once();
     ASSERT_EQ(sink.frames, 3u) << "warm-up stream must decode for full-path coverage";
-    const obs::Recorder& rec = rx.recorder();
     const std::uint64_t frames_before = rec.metrics.count(obs::Counter::kStreamFramesDecoded);
     const std::uint64_t samples_before = rec.metrics.count(obs::Counter::kStreamSamplesPushed);
     const std::size_t spans_before = rec.trace.size();

@@ -20,7 +20,10 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/sweep.h"
+#include "sim/coded_link.h"
 #include "sim/link_sim.h"
+#include "stream/sim_source.h"
+#include "stream/streaming_receiver.h"
 
 namespace rt::obs {
 namespace {
@@ -382,8 +385,9 @@ void zero_nondeterministic(MetricsRegistry& m) {
 
 TEST(ObsSweepTest, StatsAndMetricsMatchAcrossThreadCounts) {
   // The sweep's simulated stats and data-derived metrics must not depend
-  // on the thread count. Spans are switched on for the worker recorders,
-  // which each private pool creates on fresh threads.
+  // on the thread count. Spans are switched on for the batch recorders:
+  // fresh pool workers build theirs from the environment, and the inline
+  // one-thread run rebuilds the calling thread's to match.
   const ScopedSpanCapacityEnv env("4096");
   const auto points = fast_points();
   runtime::SweepOptions so;
@@ -403,8 +407,8 @@ TEST(ObsSweepTest, StatsAndMetricsMatchAcrossThreadCounts) {
 
   // Data-derived metrics are bit-identical at any thread count once the
   // wall-clock-fed pieces are zeroed out.
-  MetricsRegistry a = serial.metrics;
-  MetricsRegistry b = parallel.metrics;
+  MetricsRegistry a = serial.obs.metrics;
+  MetricsRegistry b = parallel.obs.metrics;
   EXPECT_FALSE(a.empty());
   zero_nondeterministic(a);
   zero_nondeterministic(b);
@@ -415,10 +419,27 @@ TEST(ObsSweepTest, StatsAndMetricsMatchAcrossThreadCounts) {
   EXPECT_GT(a.count(Counter::kPayloadBits), 0u);
   EXPECT_GT(a.count(Counter::kDfeBranchesExpanded), 0u);
   EXPECT_GT(a.count(Counter::kTrainingSolves), 0u);
-  EXPECT_FALSE(serial.trace.empty());
-  EXPECT_FALSE(parallel.trace.empty());
-  EXPECT_EQ(serial.metrics.count(Counter::kTraceSpansDropped), 0u);
-  EXPECT_EQ(parallel.metrics.count(Counter::kTraceSpansDropped), 0u);
+  EXPECT_FALSE(serial.obs.spans.empty());
+  EXPECT_FALSE(parallel.obs.spans.empty());
+  EXPECT_EQ(serial.obs.metrics.count(Counter::kTraceSpansDropped), 0u);
+  EXPECT_EQ(parallel.obs.metrics.count(Counter::kTraceSpansDropped), 0u);
+}
+
+TEST(ObsSweepTest, InlineRunFollowsTheSpanCapacity) {
+  // A one-thread sweep runs inline on this thread, whose batch recorder
+  // outlives the environment it was built under: it must record what a
+  // fresh pool worker would.
+  const auto points = fast_points();
+  runtime::SweepOptions so;
+  so.packets = 1;
+  so.payload_bytes = 16;
+  so.threads = 1;
+  {
+    const ScopedSpanCapacityEnv off(std::nullopt);
+    EXPECT_TRUE(runtime::parallel_sweep(points, so).obs.spans.empty());
+  }
+  const ScopedSpanCapacityEnv on("4096");
+  EXPECT_FALSE(runtime::parallel_sweep(points, so).obs.spans.empty());
 }
 
 TEST(SpanScopeTest, RecordsNestedSpansInClosingOrder) {
@@ -487,13 +508,14 @@ TEST(ObsPipelineTest, StageSpansCoverThePipelineAndNestWellFormed) {
   const auto& pt = points[1];  // high SNR: preamble always found
   const sim::LinkSimulator link(pt.params, pt.tag, pt.channel, pt.sim);
   sim::PacketWorkspace ws;
-  ws.obs = recorder_with_spans(1024);
+  Recorder rec = recorder_with_spans(1024);
+  const ScopedBind bind(rec);
   (void)link.run_packet(0, 16, ws);  // warm-up
-  ws.obs.clear();
+  rec.clear();
   const auto out = link.run_packet(1, 16, ws);
   EXPECT_TRUE(out.preamble_found);
 
-  const auto spans = ws.obs.trace.spans();
+  const auto spans = rec.trace.spans();
   ASSERT_FALSE(spans.empty());
   // Every receive stage shows up, and the root "packet" span closes last.
   for (const char* stage : {"packet", "modulate", "channel", "lc_synthesize",
@@ -520,9 +542,9 @@ TEST(ObsPipelineTest, StageSpansCoverThePipelineAndNestWellFormed) {
   }
 
   // The per-packet counters landed in the same recorder.
-  EXPECT_EQ(ws.obs.metrics.count(Counter::kPacketsSimulated), 1u);
-  EXPECT_GT(ws.obs.metrics.count(Counter::kDfeBranchesExpanded), 0u);
-  EXPECT_EQ(ws.obs.metrics.histogram(Histogram::kEqualizerResidual).count, 1u);
+  EXPECT_EQ(rec.metrics.count(Counter::kPacketsSimulated), 1u);
+  EXPECT_GT(rec.metrics.count(Counter::kDfeBranchesExpanded), 0u);
+  EXPECT_EQ(rec.metrics.histogram(Histogram::kEqualizerResidual).count, 1u);
 }
 
 TEST(ObsPipelineTest, RecorderWithoutSpanStorageCountsOnly) {
@@ -532,16 +554,58 @@ TEST(ObsPipelineTest, RecorderWithoutSpanStorageCountsOnly) {
   const auto& pt = points[1];
   const sim::LinkSimulator link(pt.params, pt.tag, pt.channel, pt.sim);
   sim::PacketWorkspace ws;
-  ws.obs = recorder_with_spans(0);
+  Recorder rec = recorder_with_spans(0);
+  const ScopedBind bind(rec);
   const auto out = link.run_packet(0, 16, ws);
   EXPECT_TRUE(out.preamble_found);
-  EXPECT_EQ(ws.obs.metrics.count(Counter::kPacketsSimulated), 1u);
-  EXPECT_GT(ws.obs.metrics.count(Counter::kDfeBranchesExpanded), 0u);
-  EXPECT_EQ(ws.obs.metrics.histogram(Histogram::kEqualizerResidual).count, 1u);
-  EXPECT_EQ(ws.obs.trace.size(), 0u);
-  EXPECT_EQ(ws.obs.trace.dropped(), 0u);
-  EXPECT_EQ(ws.obs.metrics.count(Counter::kTraceSpansDropped), 0u);
-  EXPECT_EQ(ws.obs.open_depth, 0);
+  EXPECT_EQ(rec.metrics.count(Counter::kPacketsSimulated), 1u);
+  EXPECT_GT(rec.metrics.count(Counter::kDfeBranchesExpanded), 0u);
+  EXPECT_EQ(rec.metrics.histogram(Histogram::kEqualizerResidual).count, 1u);
+  EXPECT_EQ(rec.trace.size(), 0u);
+  EXPECT_EQ(rec.trace.dropped(), 0u);
+  EXPECT_EQ(rec.metrics.count(Counter::kTraceSpansDropped), 0u);
+  EXPECT_EQ(rec.open_depth, 0);
+}
+
+TEST(ObsPipelineTest, StagesRecordIntoTheCallersRecorder) {
+  // Pipeline stages own no recorder: the packet path, the render half,
+  // the coded link and the streaming receiver all record into whatever
+  // recorder their caller bound.
+  const auto points = fast_points();
+  const auto& pt = points[1];
+  const sim::LinkSimulator link(pt.params, pt.tag, pt.channel, pt.sim);
+  const sim::CodedLink coded(link, coding::CodedFrameConfig{});
+  stream::StreamScenario sc;
+  sc.packets = 1;
+  const auto truth = stream::build_stream(link, sc);
+  stream::StreamOptions opts;
+  opts.payload_slots = truth.payload_slots;
+  stream::StreamingReceiver rx(link.demodulator(), opts);
+  struct NullSink final : stream::FrameSink {
+    void on_frame(const stream::StreamFrame&) override {}
+  } sink;
+  sim::PacketWorkspace ws;
+
+  Recorder rec = recorder_with_spans(4096);
+  {
+    const ScopedBind bind(rec);
+    (void)link.render_packet_rx(0, 16, ws);
+  }
+  bool channel_span = false;
+  for (const auto& s : rec.trace.spans())
+    channel_span = channel_span || std::string_view(s.name) == "channel";
+  EXPECT_TRUE(channel_span) << "render_packet_rx recorded no channel span";
+
+  {
+    const ScopedBind bind(rec);
+    (void)link.run_packet(0, 16, ws);
+    (void)coded.run_packet(1, 16, ws, sim::CodedLink::DecodeMode::kHard);
+    rx.push_samples(truth.waveform.samples, sink);
+  }
+  // One packet from run_packet, one carrying the coded frame.
+  EXPECT_EQ(rec.metrics.count(Counter::kPacketsSimulated), 2u);
+  EXPECT_EQ(rec.metrics.count(Counter::kCodedFrames), 1u);
+  EXPECT_EQ(rec.metrics.count(Counter::kStreamSamplesPushed), truth.waveform.samples.size());
 }
 
 TEST(ObsPipelineTest, SerialWorkspaceLoopMatchesSweepMetrics) {
@@ -560,14 +624,14 @@ TEST(ObsPipelineTest, SerialWorkspaceLoopMatchesSweepMetrics) {
   for (const auto& pt : points) {
     const sim::LinkSimulator link(pt.params, pt.tag, pt.channel, pt.sim);
     sim::PacketWorkspace ws;
-    for (int i = 0; i < so.packets; ++i) {
-      ws.obs.clear();
+    Recorder rec;
+    const ScopedBind bind(rec);
+    for (int i = 0; i < so.packets; ++i)
       (void)link.run_packet(static_cast<std::uint64_t>(i), so.payload_bytes, ws);
-      serial.merge(ws.obs.metrics);
-    }
+    serial.merge(rec.metrics);
   }
 
-  MetricsRegistry merged = sweep.metrics;
+  MetricsRegistry merged = sweep.obs.metrics;
   zero_nondeterministic(merged);
   // The serial loop never executes sweep batches or waits on a queue.
   merged.counters[static_cast<std::size_t>(Counter::kSweepBatches)] = 0;

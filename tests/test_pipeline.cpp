@@ -40,8 +40,7 @@ ChannelConfig fast_channel(double snr_db, std::uint64_t noise_seed) {
   return cfg;
 }
 
-void expect_same_outcome(const LinkSimulator::PacketOutcome& a,
-                         const LinkSimulator::PacketOutcome& b) {
+void expect_same_outcome(const PacketOutcome& a, const PacketOutcome& b) {
   EXPECT_EQ(a.preamble_found, b.preamble_found);
   EXPECT_EQ(a.bit_errors, b.bit_errors);
   EXPECT_EQ(a.bits, b.bits);

@@ -261,18 +261,6 @@ TEST(ParallelSweepTest, BatchGrainDoesNotChangeResults) {
     expect_same_stats(fine.stats[i], coarse.stats[i]);
 }
 
-TEST(ParallelSweepTest, ReusesACallerOwnedPool) {
-  const auto points = fast_points();
-  SweepOptions so;
-  so.packets = 4;
-  so.payload_bytes = 16;
-  ThreadPool pool(2);
-  const auto a = parallel_sweep(points, so, pool);
-  const auto b = parallel_sweep(points, so, pool);
-  EXPECT_EQ(a.threads, 2u);
-  for (std::size_t i = 0; i < points.size(); ++i) expect_same_stats(a.stats[i], b.stats[i]);
-}
-
 TEST(ParallelSweepTest, EmptyPointListIsFine) {
   const auto sweep = parallel_sweep({}, SweepOptions{});
   EXPECT_TRUE(sweep.stats.empty());

@@ -243,10 +243,11 @@ def check_hotpath_alloc(files: list[SourceFile],
 # C4 concurrency containment
 # --------------------------------------------------------------------------
 
-# Threading/synchronization is runtime/'s job (parallel_sweep owns the
-# thread pool and the per-packet RNG splitting that keeps parallel runs
-# bit-identical to serial ones); obs is exempt like C1 (its recorders may
-# guard telemetry with atomics without affecting results).
+# Threading/synchronization is runtime/'s job: runtime/batch.h's
+# run_deterministic_batches is the one fan-out in src/ (it owns the thread
+# pool and merges per-task snapshots in submission order, which keeps
+# parallel runs bit-identical to serial ones). obs is exempt like C1 (its
+# recorders may guard telemetry with atomics without affecting results).
 C4_EXEMPT_MODULES = {"runtime", "obs"}
 
 C4_PATTERNS: list[tuple[re.Pattern, str]] = [
@@ -268,6 +269,13 @@ C4_PATTERNS: list[tuple[re.Pattern, str]] = [
     (re.compile(r"\bstd\s*::\s*(?:call_once|once_flag)\b"),
      "once-initialization is hidden global state; thread it through "
      "explicit construction or keep it in runtime/"),
+    (re.compile(r"\bThreadPool\b|\bstd\s*::\s*j?thread\b|\bstd\s*::\s*async\b"),
+     "work fans out only through runtime::run_deterministic_batches, which "
+     "runs inline at one thread and merges snapshots in submission order"),
+    (re.compile(r"\bstd\s*::\s*(?:shared_)?future\b|\bstd\s*::\s*promise\b|"
+                r"\bstd\s*::\s*packaged_task\b"),
+     "futures and promises hand results across threads outside "
+     "run_deterministic_batches; write to pre-sized slots from its tasks"),
 ]
 
 
