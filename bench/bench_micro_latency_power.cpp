@@ -13,10 +13,14 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstring>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
+#include "kernels/kernels.h"
 #include "lcm/tag_array.h"
 #include "phy/demodulator.h"
 #include "phy/modulator.h"
@@ -58,6 +62,11 @@ Fixture& fixture_8k() {
 
 Fixture& fixture_4k() {
   static Fixture f(rt::phy::PhyParams::rate_4kbps());
+  return f;
+}
+
+Fixture& fixture_16k() {
+  static Fixture f(rt::phy::PhyParams::rate_16kbps());
   return f;
 }
 
@@ -111,36 +120,122 @@ void BM_FullDemodulate(benchmark::State& state) {
 }
 BENCHMARK(BM_FullDemodulate)->Arg(4)->Arg(8);
 
+/// The equalizer's input for one fixture: the rotation-corrected packet,
+/// its online-trained pulse bank, and where the payload starts.
+struct EqualizerInput {
+  std::size_t payload_begin;
+  rt::sig::IqWaveform corrected;
+  rt::phy::PulseBank bank;
+  std::vector<unsigned> histories;
+};
+
+EqualizerInput prepare_equalizer(const Fixture& f) {
+  auto [det, corrected] = detect_and_correct(f);
+  rt::phy::TrainingWorkspace ws;
+  rt::phy::PulseBank bank;
+  rt::phy::OnlineTrainer::train_into(f.params, f.demodulator.offline_model(), f.packet.layout,
+                                     corrected, det.start_sample, bank, ws);
+  return {det.start_sample + f.packet.layout.payload_begin() * f.params.samples_per_slot(),
+          std::move(corrected), std::move(bank),
+          rt::phy::Demodulator::initial_payload_histories(f.params, f.packet.layout)};
+}
+
+void time_equalizer(benchmark::State& state, const rt::phy::PhyParams& params,
+                    const EqualizerInput& in, int payload_slots, bool soft_output) {
+  const rt::phy::DfeEqualizer eq(params, in.bank);
+  rt::phy::EqualizerWorkspace ws;
+  rt::phy::EqualizerResult res;
+  for (auto _ : state) {
+    eq.equalize_into(in.corrected, in.payload_begin, payload_slots, in.histories, ws, res,
+                     soft_output);
+    benchmark::DoNotOptimize(res);
+  }
+}
+
 void BM_EqualizerBranches(benchmark::State& state) {
   // Equalizer-only cost vs branch count K (grows ~linearly with K; the
   // paper quotes "16x more computational cost" for the 16-branch DFE).
   auto params = rt::phy::PhyParams::rate_8kbps();
   params.equalizer_branches = static_cast<int>(state.range(0));
-  static Fixture& base = fixture_8k();
   // One-time receiver prep outside the timed loop.
-  static const auto prep = [] {
-    auto& f = fixture_8k();
-    auto [det, corrected] = detect_and_correct(f);
-    rt::phy::TrainingWorkspace ws;
-    rt::phy::PulseBank bank;
-    rt::phy::OnlineTrainer::train_into(f.params, f.demodulator.offline_model(), f.packet.layout,
-                                       corrected, det.start_sample, bank, ws);
-    return std::tuple{det.start_sample, std::move(corrected), std::move(bank)};
-  }();
-  const auto& [start, corrected, bank] = prep;
-  const rt::phy::DfeEqualizer eq(params, bank);
-  const auto hist =
-      rt::phy::Demodulator::initial_payload_histories(params, base.packet.layout);
-  const std::size_t payload_begin =
-      start + base.packet.layout.payload_begin() * params.samples_per_slot();
-  rt::phy::EqualizerWorkspace ws;
-  rt::phy::EqualizerResult res;
-  for (auto _ : state) {
-    eq.equalize_into(corrected, payload_begin, base.packet.layout.payload_slots, hist, ws, res);
-    benchmark::DoNotOptimize(res);
-  }
+  static const EqualizerInput in = prepare_equalizer(fixture_8k());
+  time_equalizer(state, params, in, fixture_8k().packet.layout.payload_slots, false);
 }
 BENCHMARK(BM_EqualizerBranches)->Arg(1)->Arg(4)->Arg(16);
+
+void BM_Equalizer16kSoft(benchmark::State& state) {
+  // The 16 kbps maximum rate: 256-PQAM, K = 16 (K x P = 4096 candidates
+  // per slot), soft output for the convolutional decoder, 128 B payload.
+  auto& f = fixture_16k();
+  static const EqualizerInput in = prepare_equalizer(f);
+  time_equalizer(state, f.params, in, f.packet.layout.payload_slots, true);
+}
+BENCHMARK(BM_Equalizer16kSoft)->Unit(benchmark::kMillisecond);
+
+/// One DFE kernel call's operands: a 20-sample slot window (the 8 and
+/// 16 kbps slot at 40 kHz) and `n_terms` weighted templates.
+struct DfeKernelInput {
+  static constexpr std::size_t kSamples = 20;
+  std::vector<rt::kernels::Complex> residual;
+  std::vector<rt::kernels::Complex> out;
+  std::vector<rt::kernels::Complex> templates;
+  std::vector<rt::kernels::CTerm> terms;
+
+  explicit DfeKernelInput(std::size_t n_terms)
+      : residual(kSamples), out(kSamples), templates(n_terms * kSamples) {
+    rt::Rng rng(11);
+    for (auto& v : residual) v = {rng.gaussian(), rng.gaussian()};
+    for (auto& v : templates) v = {rng.gaussian(), rng.gaussian()};
+    for (std::size_t t = 0; t < n_terms; ++t)
+      terms.push_back({templates.data() + t * kSamples, {rng.gaussian(), rng.gaussian()}});
+  }
+};
+
+// Kernel cost per DFE candidate at 16 kbps: 4 terms is the Q-only score,
+// 8 the score over a candidate's I and Q terms together.
+void BM_DfeScore(benchmark::State& state, decltype(&rt::kernels::scalar::dfe_score) score) {
+  const DfeKernelInput in(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        score(DfeKernelInput::kSamples, in.residual.data(), in.terms.data(), in.terms.size()));
+  }
+}
+
+void BM_DfeResidual(benchmark::State& state,
+                    decltype(&rt::kernels::scalar::dfe_residual) residual) {
+  DfeKernelInput in(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    residual(DfeKernelInput::kSamples, in.residual.data(), in.out.data(), in.terms.data(),
+             in.terms.size());
+    benchmark::DoNotOptimize(in.out.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void register_dfe_kernel_cases() {
+  struct Backend {
+    const char* name;
+    decltype(&rt::kernels::scalar::dfe_score) score;
+    decltype(&rt::kernels::scalar::dfe_residual) residual;
+  };
+  std::vector<Backend> backends = {
+      {"scalar", &rt::kernels::scalar::dfe_score, &rt::kernels::scalar::dfe_residual}};
+#if defined(__x86_64__)
+  // The AVX2 bodies run only where the dispatcher picked them.
+  if (std::strcmp(rt::kernels::backend_name(), "avx2") == 0)
+    backends.push_back({"avx2", &rt::kernels::avx2::dfe_score, &rt::kernels::avx2::dfe_residual});
+#endif
+  for (const auto& b : backends) {
+    benchmark::RegisterBenchmark((std::string("BM_DfeScore/") + b.name).c_str(), BM_DfeScore,
+                                 b.score)
+        ->Arg(4)
+        ->Arg(8);
+    benchmark::RegisterBenchmark((std::string("BM_DfeResidual/") + b.name).c_str(),
+                                 BM_DfeResidual, b.residual)
+        ->Arg(4)
+        ->Arg(8);
+  }
+}
 
 }  // namespace
 
@@ -207,6 +302,7 @@ int main(int argc, char** argv) {
   report.write();
 
   benchmark::Initialize(&argc, argv);
+  register_dfe_kernel_cases();
   benchmark::RunSpecifiedBenchmarks();
   std::printf("\nreceiver-stage telemetry across the google-benchmark pass:\n");
   rt::obs::print_stage_summary(stdout, obs_rec.metrics, obs_rec.trace.spans());

@@ -35,18 +35,30 @@ class Constellation {
   Constellation(int bits_per_axis, bool use_q_channel)
       : bits_(bits_per_axis), use_q_(use_q_channel) {
     RT_ENSURE(bits_ >= 1 && bits_ <= 4, "bits per axis must be in [1, 4]");
+    // alphabet() is i-major, q-minor; the bit label Gray-decodes each axis
+    // (matching unmap_into's MSB-first I-then-Q order).
+    const std::size_t per_axis = narrow_cast<std::size_t>(levels_per_axis());
+    for (std::size_t idx = 0; idx < alphabet_size(); ++idx) {
+      const std::uint32_t li = narrow_cast<std::uint32_t>(use_q_ ? idx / per_axis : idx);
+      const std::uint32_t lq = narrow_cast<std::uint32_t>(use_q_ ? idx % per_axis : 0);
+      labels_[idx] = narrow_cast<std::uint8_t>(
+          use_q_ ? (sig::gray_decode(li) << bits_) | sig::gray_decode(lq) : sig::gray_decode(li));
+    }
   }
 
   [[nodiscard]] int bits_per_axis() const { return bits_; }
   [[nodiscard]] int levels_per_axis() const { return 1 << bits_; }
   [[nodiscard]] int bits_per_symbol() const { return use_q_ ? 2 * bits_ : bits_; }
+  [[nodiscard]] std::size_t alphabet_size() const {
+    const auto per_axis = static_cast<std::size_t>(levels_per_axis());
+    return use_q_ ? per_axis * per_axis : per_axis;
+  }
 
   /// All levels a symbol may take (Q fixed to -1 without the Q channel).
   [[nodiscard]] std::vector<SymbolLevels> alphabet() const {
     // rt-check: alloc-ok (cold: only tests and scheme names call it; the DFE loops over levels)
     std::vector<SymbolLevels> out;
-    out.reserve(static_cast<std::size_t>(levels_per_axis()) *
-                static_cast<std::size_t>(use_q_ ? levels_per_axis() : 1));
+    out.reserve(alphabet_size());
     for (int i = 0; i < levels_per_axis(); ++i) {
       if (use_q_) {
         for (int q = 0; q < levels_per_axis(); ++q) out.push_back({i, q});
@@ -95,34 +107,22 @@ class Constellation {
   /// positive = bit 0, and the magnitude is the decision margin in score
   /// units. Any additive constant shared by all scores cancels.
   void unmap_soft_into(std::span<const double> scores, std::vector<float>& llrs) const {
-    const int nb = bits_per_symbol();
-    RT_ENSURE(nb <= 8, "soft demapper supports at most 8 bits per symbol");
+    const auto nb = static_cast<std::size_t>(bits_per_symbol());
     constexpr double kInf = 1e300;
-    std::array<double, 8> min0{};
-    std::array<double, 8> min1{};
-    min0.fill(kInf);
-    min1.fill(kInf);
-    const std::size_t per_axis = narrow_cast<std::size_t>(levels_per_axis());
-    const std::size_t count = use_q_ ? per_axis * per_axis : per_axis;
-    RT_ENSURE(scores.size() == count, "one score per alphabet entry required");
-    for (std::size_t idx = 0; idx < count; ++idx) {
-      // alphabet() is i-major, q-minor; the bit label Gray-decodes each axis
-      // (matching unmap_into's MSB-first I-then-Q order).
-      const std::uint32_t li = narrow_cast<std::uint32_t>(use_q_ ? idx / per_axis : idx);
-      const std::uint32_t lq = narrow_cast<std::uint32_t>(use_q_ ? idx % per_axis : 0);
-      const std::uint32_t label =
-          use_q_ ? (sig::gray_decode(li) << bits_) | sig::gray_decode(lq) : sig::gray_decode(li);
+    std::array<std::array<double, 2>, 8> mins{};  // [bit position][bit value]
+    for (auto& m : mins) m = {kInf, kInf};
+    RT_ENSURE(scores.size() == alphabet_size(), "one score per alphabet entry required");
+    for (std::size_t idx = 0; idx < scores.size(); ++idx) {
+      const unsigned label = labels_[idx];
       const double score = scores[idx];
-      for (int j = 0; j < nb; ++j) {
-        auto& slot = ((label >> (nb - 1 - j)) & 1U) ? min1[narrow_cast<std::size_t>(j)]
-                                                    : min0[narrow_cast<std::size_t>(j)];
+      for (std::size_t j = 0; j < nb; ++j) {
+        auto& slot = mins[j][(label >> (nb - 1 - j)) & 1U];
         slot = score < slot ? score : slot;
       }
     }
-    for (int j = 0; j < nb; ++j)
+    for (std::size_t j = 0; j < nb; ++j)
       // rt-check: alloc-ok (appends into the caller's pooled buffer; capacity reached at warm-up)
-      llrs.push_back(static_cast<float>(min1[narrow_cast<std::size_t>(j)] -
-                                        min0[narrow_cast<std::size_t>(j)]));
+      llrs.push_back(static_cast<float>(mins[j][1] - mins[j][0]));
   }
 
   /// Normalized drive fraction rho in [0, 1] for a level.
@@ -141,6 +141,7 @@ class Constellation {
  private:
   int bits_;
   bool use_q_;
+  std::array<std::uint8_t, 256> labels_{};  ///< bit label per alphabet() entry (<= 8 bits)
 };
 
 }  // namespace rt::phy

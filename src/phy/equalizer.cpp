@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/error.h"
+#include "common/narrow.h"
 #include "obs/trace.h"
 
 namespace rt::phy {
@@ -23,7 +24,7 @@ namespace {
 // *pixel*.
 
 using Branch = EqualizerWorkspace::Branch;
-using Candidate = EqualizerWorkspace::Candidate;
+using Scored = EqualizerWorkspace::Scored;
 
 /// Writes the merge key of `b` -- the last (L - 1) decisions (whose pulses
 /// still overlap future slots) plus every pixel history -- into `dst`
@@ -80,12 +81,14 @@ void DfeEqualizer::equalize_into(const sig::IqWaveform& rx, std::size_t payload_
 
   // Module waveform terms for `level` given per-pixel histories: one
   // area-weighted template per pixel whose (history, fired) key is
-  // non-zero -- including the tail terms of unfired pixels.
+  // non-zero -- including the tail terms of unfired pixels. Writes at most
+  // `bits` terms to `dst` and returns how many.
   const auto gather_terms = [&](int module_global, int level,
                                 std::span<const unsigned> pixel_hist,
-                                std::vector<kernels::CTerm>& out_terms) {
+                                kernels::CTerm* dst) -> std::size_t {
     const std::size_t base =
         static_cast<std::size_t>(module_global) * static_cast<std::size_t>(bits);
+    std::size_t n_terms = 0;
     for (int wb = 0; wb < bits; ++wb) {
       const int weight_bit = bits - 1 - wb;  // wb 0 = largest pixel
       const unsigned fired = (level > 0 && ((level >> weight_bit) & 1)) ? 1U : 0U;
@@ -93,10 +96,10 @@ void DfeEqualizer::equalize_into(const sig::IqWaveform& rx, std::size_t payload_
       const unsigned key = (h << 1) | fired;
       if (key == 0) continue;
       const double area = static_cast<double>(1 << weight_bit) / area_denom;
-      // rt-check: alloc-ok (pooled ws.terms; capacity amortized across slots and packets)
-      out_terms.push_back({bank_.pulse(module_global, key).data(),
-                           area * bank_.pixel_gain(module_global, wb)});
+      dst[n_terms++] = {bank_.pulse(module_global, key).data(),
+                        area * bank_.pixel_gain(module_global, wb)};
     }
+    return n_terms;
   };
 
   // Seed branch reuses pool slot 0; every field is fully rewritten.
@@ -112,19 +115,30 @@ void DfeEqualizer::equalize_into(const sig::IqWaveform& rx, std::size_t payload_
   }
   ws.n_cur = 1;
 
-  // Candidates enumerate the alphabet in Constellation::alphabet() order
-  // -- I level outer, Q level inner (-1 without the Q channel) -- which is
-  // the score layout unmap_soft_into() reads.
+  // Candidate `ci = (bi * levels + li) * q_levels + lq` (see equalizer.h):
+  // each parent's row is one score per Constellation::alphabet() entry --
+  // I level outer, Q level inner (-1 without the Q channel) -- which is the
+  // layout unmap_soft_into() reads.
   const int levels = 1 << bits;
   const int q_levels = p_.use_q_channel ? levels : 1;
-  const auto alphabet_size = static_cast<std::size_t>(levels * q_levels);
+  const auto row = static_cast<std::size_t>(q_levels);  // scores per (branch, I level)
+  const auto alphabet_size = static_cast<std::size_t>(levels) * row;
+  const auto term_slots = static_cast<std::size_t>(bits);  // at most one term per pixel
 
-  auto& terms = ws.terms;
+  // Fixed-size scratch, sized once per call (capacity persists).
+  ws.terms.resize(2 * term_slots);
+  ws.partial.resize(t_samps);
+  ws.q_terms.resize(row * term_slots);
+  ws.q_counts.assign(row, 0);
 
   // Merge-key layout: fixed stride so keys live in one flat buffer.
   const std::size_t key_stride =
       2 * static_cast<std::size_t>(l > 0 ? l - 1 : 0) + 1 + n_pixels;
   const auto max_branches = static_cast<std::size_t>(p_.equalizer_branches);
+  // Min-heap under the total order (metric, enumeration index).
+  const auto pops_later = [](const Scored& a, const Scored& b) {
+    return a.metric > b.metric || (a.metric == b.metric && a.index > b.index);
+  };
 
   for (int n = 0; n < n_slots; ++n) {
     if (!p_.slot_active(n)) {
@@ -143,54 +157,65 @@ void DfeEqualizer::equalize_into(const sig::IqWaveform& rx, std::size_t payload_
       continue;
     }
     const int m = p_.slot_module(n);
-    auto& candidates = ws.candidates;
-    candidates.clear();
-    candidates.reserve(ws.n_cur * alphabet_size);
+    // Scoring: a candidate's error is the residual minus its I terms minus
+    // its Q terms, subtracted one at a time in that order. The I terms
+    // depend on the I level only, so each I level's partial residual is
+    // built once per branch and every Q level is scored against it; the Q
+    // terms are gathered once per branch. Storing and reloading the
+    // partial residual is exact, so each score is the double that one
+    // dfe_score over all of the candidate's terms returns.
+    const std::size_t n_cand = ws.n_cur * alphabet_size;
+    ws.scores.resize(n_cand);
+    std::size_t ci = 0;
     for (std::size_t bi = 0; bi < ws.n_cur; ++bi) {
       const auto& b = ws.cur[bi];
+      if (p_.use_q_channel) {
+        for (int lq = 0; lq < q_levels; ++lq) {
+          const auto q = static_cast<std::size_t>(lq);
+          ws.q_counts[q] = gather_terms(l + m, lq, b.pixel_hist, &ws.q_terms[q * term_slots]);
+        }
+      }
       for (int li = 0; li < levels; ++li) {
-        for (int qi = 0; qi < q_levels; ++qi) {
-          const SymbolLevels sym{li, p_.use_q_channel ? qi : -1};
-          terms.clear();
-          gather_terms(m, sym.level_i, b.pixel_hist, terms);
-          if (p_.use_q_channel) gather_terms(l + m, sym.level_q, b.pixel_hist, terms);
-          const double score =
-              kernels::dfe_score(t_samps, b.residual.data(), terms.data(), terms.size());
-          candidates.push_back({bi, sym, b.metric + score});
+        const std::size_t n_i = gather_terms(m, li, b.pixel_hist, ws.terms.data());
+        kernels::dfe_residual(t_samps, b.residual.data(), ws.partial.data(), ws.terms.data(),
+                              n_i);
+        for (std::size_t q = 0; q < row; ++q) {
+          ws.scores[ci++] = b.metric + kernels::dfe_score(t_samps, ws.partial.data(),
+                                                          &ws.q_terms[q * term_slots],
+                                                          ws.q_counts[q]);
         }
       }
     }
-    if (soft_output) {
-      // Snapshot the candidate scores before the sort scrambles them: row
-      // `bi` holds one score per alphabet entry for parent branch `bi`,
-      // exactly what the max-log-MAP demapper needs (the parent's
-      // cumulative metric is a shared additive constant that cancels in
-      // every bit margin).
-      ws.slot_scores.resize(candidates.size());
-      for (std::size_t ci = 0; ci < candidates.size(); ++ci)
-        ws.slot_scores[ci] = candidates[ci].metric;
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate& a, const Candidate& b) { return a.metric < b.metric; });
 
-    // Survivor selection into the `next` pool: optionally merge identical
-    // trellis states first. Copy assignment into pooled branches reuses
-    // the inner vectors' capacity.
-    RT_OBS_COUNT(kDfeBranchesExpanded, candidates.size());
+    // Survivor selection: pop candidates best-first from the heap into the
+    // `next` pool, optionally merging identical trellis states. Copy
+    // assignment into pooled branches reuses the inner vectors' capacity.
+    // The scores stay in place for the soft demapper.
+    RT_OBS_COUNT(kDfeBranchesExpanded, n_cand);
+    ws.heap.resize(n_cand);
+    for (std::size_t c = 0; c < n_cand; ++c) ws.heap[c] = {ws.scores[c], c};
+    std::make_heap(ws.heap.begin(), ws.heap.end(), pops_later);
+    auto heap_end = ws.heap.end();
     std::size_t n_next = 0;
     std::size_t n_seen = 0;
     std::size_t n_merged = 0;
     if (p_.merge_equalizer_states) ws.seen_keys.resize(max_branches * key_stride);
-    for (const auto& c : candidates) {
-      if (n_next >= max_branches) break;
-      const auto& parent = ws.cur[c.parent];
+    while (n_next < max_branches && heap_end != ws.heap.begin()) {
+      std::pop_heap(ws.heap.begin(), heap_end, pops_later);
+      --heap_end;
+      const Scored c = *heap_end;
+      const std::size_t parent_idx = c.index / alphabet_size;
+      const std::size_t sym_idx = c.index % alphabet_size;
+      const SymbolLevels sym{narrow_cast<int>(sym_idx / row),
+                             p_.use_q_channel ? narrow_cast<int>(sym_idx % row) : -1};
+      const auto& parent = ws.cur[parent_idx];
       // rt-check: alloc-ok (branch pool grows to K once, then steady state reuses the slots)
       if (n_next == ws.next.size()) ws.next.emplace_back();
       Branch& nb = ws.next[n_next];
       nb.metric = c.metric;
       nb.decisions = parent.decisions;
       // rt-check: alloc-ok (pooled branch buffer; capacity reaches the slot count at warm-up)
-      nb.decisions.push_back(c.sym);
+      nb.decisions.push_back(sym);
       nb.pixel_hist = parent.pixel_hist;
       // Per-pixel history update for the cycled modules. Histories count
       // in W-cycles; in basic DSM a firing period spans (L + rest) / L
@@ -207,8 +232,8 @@ void DfeEqualizer::equalize_into(const sig::IqWaveform& rx, std::size_t payload_
           h = ((h << hist_shifts) | (fired << (hist_shifts - 1))) & hist_mask;
         }
       };
-      update_hist(m, c.sym.level_i);
-      if (p_.use_q_channel) update_hist(l + m, c.sym.level_q);
+      update_hist(m, sym.level_i);
+      if (p_.use_q_channel) update_hist(l + m, sym.level_q);
       if (p_.merge_equalizer_states) {
         const std::span<char> key(ws.seen_keys.data() + n_seen * key_stride, key_stride);
         write_merge_key(nb, l, key);
@@ -228,19 +253,19 @@ void DfeEqualizer::equalize_into(const sig::IqWaveform& rx, std::size_t payload_
       if (soft_output) {
         nb.llrs = parent.llrs;
         constellation_.unmap_soft_into(
-            {ws.slot_scores.data() + c.parent * alphabet_size, alphabet_size}, nb.llrs);
+            {ws.scores.data() + parent_idx * alphabet_size, alphabet_size}, nb.llrs);
       }
       // Decision feedback: subtract the decided cycle's waveform over its
       // full W span, then slide the window one slot forward.
-      terms.clear();
-      gather_terms(m, c.sym.level_i, parent.pixel_hist, terms);
-      if (p_.use_q_channel) gather_terms(l + m, c.sym.level_q, parent.pixel_hist, terms);
+      std::size_t n_terms = gather_terms(m, sym.level_i, parent.pixel_hist, ws.terms.data());
+      if (p_.use_q_channel)
+        n_terms += gather_terms(l + m, sym.level_q, parent.pixel_hist, ws.terms.data() + n_terms);
       nb.residual.resize(w_samps);
       // Re-base every template at the feedback offset so the kernel walks
       // contiguous arrays: dst[k] = src[t_samps + k] - sum w * tmpl[t_samps + k].
-      ws.tail_terms.resize(terms.size());
-      for (std::size_t t = 0; t < terms.size(); ++t)
-        ws.tail_terms[t] = {terms[t].tmpl + t_samps, terms[t].w};
+      ws.tail_terms.resize(n_terms);
+      for (std::size_t t = 0; t < n_terms; ++t)
+        ws.tail_terms[t] = {ws.terms[t].tmpl + t_samps, ws.terms[t].w};
       kernels::dfe_residual(w_samps - t_samps, parent.residual.data() + t_samps,
                             nb.residual.data(), ws.tail_terms.data(), ws.tail_terms.size());
       const std::size_t next_window_begin =
@@ -250,7 +275,7 @@ void DfeEqualizer::equalize_into(const sig::IqWaveform& rx, std::size_t payload_
       ++n_next;
     }
     RT_OBS_COUNT(kDfeStateMerges, n_merged);
-    RT_OBS_COUNT(kDfeBranchesPruned, candidates.size() - n_next - n_merged);
+    RT_OBS_COUNT(kDfeBranchesPruned, n_cand - n_next - n_merged);
     std::swap(ws.cur, ws.next);
     ws.n_cur = n_next;
     RT_ENSURE(ws.n_cur > 0, "equalizer lost all branches");

@@ -9,6 +9,23 @@
 // residual. With state merging enabled and K >= the number of distinct
 // trellis states this becomes the Viterbi detector the paper cites as the
 // optimal-but-costly reference; K = 1 is the naive DFE of Fig. 17a.
+//
+// Candidate order. Candidate `ci = (bi * levels + li) * q_levels + lq`
+// extends live branch `bi` by I level `li` and Q level `lq` (q_levels = 1
+// and Q level -1 without the Q channel): branch-major, then the
+// Constellation::alphabet() order. Scores are written at `ci`, so each
+// branch's row is the layout Constellation::unmap_soft_into() reads. A
+// branch's I terms are subtracted once per I level and only the Q terms
+// are scored per candidate; both kernels subtract the terms one at a time
+// in list order, so every score is the double a single pass over all of
+// the candidate's terms gives.
+//
+// Survivors. The candidates sit in a min-heap under the total order
+// (metric, ci) and are popped until K survivors are built (with state
+// merging, popping continues past merged twins until K survive or the
+// heap is empty). Exact metric ties therefore resolve to the lower
+// enumeration index: the earlier branch, then the lower I level, then the
+// lower Q level.
 #pragma once
 
 #include <cstdint>
@@ -44,19 +61,23 @@ struct EqualizerWorkspace {
     std::vector<unsigned> pixel_hist;  ///< per-pixel V-bit firing history
     std::vector<float> llrs;           ///< per-bit LLRs along this prefix (soft mode)
   };
-  struct Candidate {
-    std::size_t parent;
-    SymbolLevels sym;
+  /// One survivor-heap entry: a candidate's cumulative metric and its
+  /// enumeration index (the parent branch and symbol decode from it).
+  struct Scored {
     double metric;
+    std::size_t index;
   };
   std::vector<Branch> cur;   ///< live branches (first n_cur entries)
   std::vector<Branch> next;  ///< survivor pool being built
   std::size_t n_cur = 0;
-  std::vector<Candidate> candidates;
-  std::vector<kernels::CTerm> terms;       ///< per-candidate template/weight terms
+  std::vector<double> scores;          ///< candidate metrics in enumeration order
+  std::vector<Scored> heap;            ///< survivor min-heap over (metric, index)
+  std::vector<Complex> partial;        ///< residual window minus one I level's terms
+  std::vector<kernels::CTerm> q_terms; ///< one branch's Q terms, bits_per_axis slots per level
+  std::vector<std::size_t> q_counts;   ///< live entries of each Q level's q_terms slots
+  std::vector<kernels::CTerm> terms;       ///< I terms / decided-symbol feedback terms
   std::vector<kernels::CTerm> tail_terms;  ///< `terms` re-based at the feedback offset
   std::vector<char> seen_keys;         ///< flat fixed-stride merge keys
-  std::vector<double> slot_scores;     ///< pre-sort candidate scores (soft mode)
 };
 
 class DfeEqualizer {

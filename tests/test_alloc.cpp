@@ -98,56 +98,63 @@ TEST(AllocationRegression, CounterObservesOrdinaryAllocations) {
 
 TEST(AllocationRegression, SteadyStatePacketPipelineIsAllocationFree) {
   // The default receiver shape: Q channel on, per-packet online training,
-  // DFE with state merging, scrambled payload, AWGN at moderate SNR.
-  const auto p = fast_params();
-  ChannelConfig ch;
-  ch.snr_override_db = 14.0;
-  ch.noise_seed = 7;
-  SimOptions so;
-  so.seed = 42;
-  so.offline_yaws_deg = {0.0};
-  const LinkSimulator sim(p, p.tag_config(), ch, so);
+  // DFE without and with state merging, scrambled payload, AWGN at
+  // moderate SNR.
+  for (const bool merge : {false, true}) {
+    auto p = fast_params();
+    p.merge_equalizer_states = merge;
+    ChannelConfig ch;
+    ch.snr_override_db = 14.0;
+    ch.noise_seed = 7;
+    SimOptions so;
+    so.seed = 42;
+    so.offline_yaws_deg = {0.0};
+    const LinkSimulator sim(p, p.tag_config(), ch, so);
 
-  for (const std::size_t spans : kSpanCapacities) {
-    SCOPED_TRACE(testing::Message() << "span capacity " << spans);
-    PacketWorkspace ws;
-    obs::Recorder rec;
-    rec.trace = obs::TraceBuffer(spans);
-    const obs::ScopedBind bind(rec);
-    // Warm-up: one pass over the packet indices the measured phase
-    // replays, so every buffer has reached its steady-state capacity.
-    for (std::uint64_t i = 0; i < 3; ++i) {
-      const auto out = sim.run_packet(i, 8, ws);
-      ASSERT_TRUE(out.preamble_found) << "packet " << i << " must decode for full-path coverage";
+    for (const std::size_t spans : kSpanCapacities) {
+      SCOPED_TRACE(testing::Message() << "state merging " << merge << ", span capacity " << spans);
+      PacketWorkspace ws;
+      obs::Recorder rec;
+      rec.trace = obs::TraceBuffer(spans);
+      const obs::ScopedBind bind(rec);
+      // Warm-up: one pass over the packet indices the measured phase
+      // replays, so every buffer has reached its steady-state capacity.
+      for (std::uint64_t i = 0; i < 3; ++i) {
+        const auto out = sim.run_packet(i, 8, ws);
+        ASSERT_TRUE(out.preamble_found) << "packet " << i << " must decode for full-path coverage";
+      }
+      const std::uint64_t packets_before = rec.metrics.count(obs::Counter::kPacketsSimulated);
+      const std::uint64_t dfe_before = rec.metrics.count(obs::Counter::kDfeBranchesExpanded);
+      const std::uint64_t merges_before = rec.metrics.count(obs::Counter::kDfeStateMerges);
+      const std::size_t spans_before = rec.trace.size();
+
+      g_allocs.store(0);
+      g_counting.store(true);
+      std::size_t errors = 0;
+      bool all_found = true;
+      bool estimates_finite = true;
+      for (std::uint64_t i = 0; i < 3; ++i) {
+        const auto out = sim.run_packet(i, 8, ws);
+        all_found = all_found && out.preamble_found;
+        // The closed rate-adaptation loop reads this per packet; producing
+        // it must cost no allocations and always be finite.
+        estimates_finite = estimates_finite && std::isfinite(out.snr_estimate_db);
+        errors += out.bit_errors;
+      }
+      g_counting.store(false);
+
+      EXPECT_TRUE(all_found);
+      EXPECT_TRUE(estimates_finite) << "per-packet SNR estimate must be finite";
+      EXPECT_EQ(g_allocs.load(), 0u)
+          << "the steady-state packet pipeline allocated on the heap (" << g_allocs.load()
+          << " allocations across 3 packets; total bit errors " << errors << ")";
+      EXPECT_EQ(rec.metrics.count(obs::Counter::kPacketsSimulated) - packets_before, 3u);
+      EXPECT_GT(rec.metrics.count(obs::Counter::kDfeBranchesExpanded), dfe_before);
+      // The merge branch must actually run under the counting allocator.
+      EXPECT_EQ(rec.metrics.count(obs::Counter::kDfeStateMerges) > merges_before, merge);
+      EXPECT_EQ(rec.trace.size() > spans_before, spans > 0);
+      EXPECT_EQ(rec.trace.dropped(), 0u);
     }
-    const std::uint64_t packets_before = rec.metrics.count(obs::Counter::kPacketsSimulated);
-    const std::uint64_t dfe_before = rec.metrics.count(obs::Counter::kDfeBranchesExpanded);
-    const std::size_t spans_before = rec.trace.size();
-
-    g_allocs.store(0);
-    g_counting.store(true);
-    std::size_t errors = 0;
-    bool all_found = true;
-    bool estimates_finite = true;
-    for (std::uint64_t i = 0; i < 3; ++i) {
-      const auto out = sim.run_packet(i, 8, ws);
-      all_found = all_found && out.preamble_found;
-      // The closed rate-adaptation loop reads this per packet; producing
-      // it must cost no allocations and always be finite.
-      estimates_finite = estimates_finite && std::isfinite(out.snr_estimate_db);
-      errors += out.bit_errors;
-    }
-    g_counting.store(false);
-
-    EXPECT_TRUE(all_found);
-    EXPECT_TRUE(estimates_finite) << "per-packet SNR estimate must be finite";
-    EXPECT_EQ(g_allocs.load(), 0u)
-        << "the steady-state packet pipeline allocated on the heap (" << g_allocs.load()
-        << " allocations across 3 packets; total bit errors " << errors << ")";
-    EXPECT_EQ(rec.metrics.count(obs::Counter::kPacketsSimulated) - packets_before, 3u);
-    EXPECT_GT(rec.metrics.count(obs::Counter::kDfeBranchesExpanded), dfe_before);
-    EXPECT_EQ(rec.trace.size() > spans_before, spans > 0);
-    EXPECT_EQ(rec.trace.dropped(), 0u);
   }
 }
 

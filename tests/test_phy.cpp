@@ -4,7 +4,10 @@
 // round trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 
 #include "common/bitio.h"
 #include "common/rng.h"
@@ -20,6 +23,7 @@
 #include "phy/preamble.h"
 #include "phy/training.h"
 #include "signal/awgn.h"
+#include "signal/gray.h"
 #include "signal/scrambler.h"
 
 namespace rt::phy {
@@ -473,6 +477,308 @@ TEST(Equalizer, StateMergingMatchesPlainBeamWhenKLarge) {
   ASSERT_TRUE(a.found && b.found);
   // Merging only prunes provably-dominated branches, so it cannot be worse.
   EXPECT_LE(b.ber, a.ber + 0.02);
+}
+
+/// Test oracle for DfeEqualizer::equalize_into: the candidate loop before
+/// the I axis was factored out of scoring. Every candidate is scored by one
+/// dfe_score over all of its I and Q terms, all K x P candidates are
+/// sorted under (metric, enumeration index), survivors are built from the
+/// sorted list, and each LLR group Gray-decodes the alphabet index by index.
+EqualizerResult reference_equalize(const PhyParams& p, const PulseBank& bank,
+                                   const sig::IqWaveform& rx, std::size_t payload_begin,
+                                   int n_slots, std::span<const unsigned> initial_histories,
+                                   bool soft_output) {
+  struct Branch {
+    double metric = 0.0;
+    std::vector<SymbolLevels> decisions;
+    std::vector<Complex> residual;
+    std::vector<unsigned> pixel_hist;
+    std::vector<float> llrs;
+  };
+  struct Candidate {
+    std::size_t index;
+    std::size_t parent;
+    SymbolLevels sym;
+    double metric;
+  };
+  const int l = p.dsm_order;
+  const int bits = p.bits_per_axis;
+  const int levels = 1 << bits;
+  const int q_levels = p.use_q_channel ? levels : 1;
+  const auto alphabet_size = static_cast<std::size_t>(levels * q_levels);
+  const std::size_t t_samps = p.samples_per_slot();
+  const std::size_t w_samps = p.samples_per_symbol();
+  const unsigned hist_mask = p.history_mask();
+  const double area_denom = static_cast<double>(levels - 1);
+  const int hist_shifts = std::max(1, (p.period_slots() + l - 1) / l);
+  const auto rx_at = [&](std::size_t idx) { return idx < rx.size() ? rx[idx] : Complex{}; };
+  const auto hist_at = [&](const std::vector<unsigned>& hist, int module, int wb) -> unsigned {
+    return hist[static_cast<std::size_t>(module * bits + wb)];
+  };
+  const auto gather = [&](int module, int level, const std::vector<unsigned>& hist,
+                          std::vector<kernels::CTerm>& terms) {
+    for (int wb = 0; wb < bits; ++wb) {
+      const int weight_bit = bits - 1 - wb;
+      const unsigned fired = (level > 0 && ((level >> weight_bit) & 1)) ? 1U : 0U;
+      const unsigned key = ((hist_at(hist, module, wb) & hist_mask) << 1) | fired;
+      if (key == 0) continue;
+      const double area = static_cast<double>(1 << weight_bit) / area_denom;
+      terms.push_back({bank.pulse(module, key).data(), area * bank.pixel_gain(module, wb)});
+    }
+  };
+  const auto demap = [&](std::span<const double> scores, std::vector<float>& llrs) {
+    const int nb = p.use_q_channel ? 2 * bits : bits;
+    std::array<double, 8> min0{};
+    std::array<double, 8> min1{};
+    min0.fill(1e300);
+    min1.fill(1e300);
+    for (std::size_t idx = 0; idx < scores.size(); ++idx) {
+      const auto li = static_cast<std::uint32_t>(idx / static_cast<std::size_t>(q_levels));
+      const auto lq = static_cast<std::uint32_t>(idx % static_cast<std::size_t>(q_levels));
+      const std::uint32_t label = p.use_q_channel
+                                      ? (sig::gray_decode(li) << bits) | sig::gray_decode(lq)
+                                      : sig::gray_decode(li);
+      for (int j = 0; j < nb; ++j) {
+        double& slot = ((label >> (nb - 1 - j)) & 1U) ? min1[static_cast<std::size_t>(j)]
+                                                      : min0[static_cast<std::size_t>(j)];
+        slot = scores[idx] < slot ? scores[idx] : slot;
+      }
+    }
+    for (int j = 0; j < nb; ++j)
+      llrs.push_back(static_cast<float>(min1[static_cast<std::size_t>(j)] -
+                                        min0[static_cast<std::size_t>(j)]));
+  };
+  const auto slide_in = [&](std::vector<Complex>& residual, int n) {
+    const std::size_t next_window_begin =
+        payload_begin + (static_cast<std::size_t>(n) + 1) * t_samps + (w_samps - t_samps);
+    for (std::size_t k = 0; k < t_samps; ++k)
+      residual[w_samps - t_samps + k] = rx_at(next_window_begin + k);
+  };
+
+  std::vector<Branch> cur(1);
+  cur[0].pixel_hist.assign(initial_histories.begin(), initial_histories.end());
+  cur[0].residual.resize(w_samps);
+  for (std::size_t k = 0; k < w_samps; ++k) cur[0].residual[k] = rx_at(payload_begin + k);
+  for (int n = 0; n < n_slots; ++n) {
+    if (!p.slot_active(n)) {
+      for (auto& b : cur) {
+        for (std::size_t k = 0; k < t_samps; ++k) b.metric += std::norm(b.residual[k]);
+        for (std::size_t k = t_samps; k < w_samps; ++k) b.residual[k - t_samps] = b.residual[k];
+        slide_in(b.residual, n);
+      }
+      continue;
+    }
+    const int m = p.slot_module(n);
+    std::vector<Candidate> candidates;
+    std::vector<double> slot_scores;
+    for (std::size_t bi = 0; bi < cur.size(); ++bi) {
+      for (int li = 0; li < levels; ++li) {
+        for (int qi = 0; qi < q_levels; ++qi) {
+          const SymbolLevels sym{li, p.use_q_channel ? qi : -1};
+          std::vector<kernels::CTerm> terms;
+          gather(m, sym.level_i, cur[bi].pixel_hist, terms);
+          if (p.use_q_channel) gather(l + m, sym.level_q, cur[bi].pixel_hist, terms);
+          const double score =
+              cur[bi].metric + kernels::dfe_score(t_samps, cur[bi].residual.data(),
+                                                  terms.data(), terms.size());
+          candidates.push_back({candidates.size(), bi, sym, score});
+          slot_scores.push_back(score);
+        }
+      }
+    }
+    std::sort(candidates.begin(), candidates.end(), [](const Candidate& a, const Candidate& b) {
+      return a.metric < b.metric || (a.metric == b.metric && a.index < b.index);
+    });
+    std::vector<Branch> next;
+    std::vector<std::vector<int>> seen;
+    for (const auto& c : candidates) {
+      if (next.size() >= static_cast<std::size_t>(p.equalizer_branches)) break;
+      const Branch& parent = cur[c.parent];
+      Branch nb;
+      nb.metric = c.metric;
+      nb.decisions = parent.decisions;
+      nb.decisions.push_back(c.sym);
+      nb.pixel_hist = parent.pixel_hist;
+      const auto update_hist = [&](int module, int level) {
+        for (int wb = 0; wb < bits; ++wb) {
+          const unsigned fired = (level > 0 && ((level >> (bits - 1 - wb)) & 1)) ? 1U : 0U;
+          auto& h = nb.pixel_hist[static_cast<std::size_t>(module * bits + wb)];
+          h = ((h << hist_shifts) | (fired << (hist_shifts - 1))) & hist_mask;
+        }
+      };
+      update_hist(m, c.sym.level_i);
+      if (p.use_q_channel) update_hist(l + m, c.sym.level_q);
+      if (p.merge_equalizer_states) {
+        // State: the last L - 1 decisions plus every pixel history.
+        std::vector<int> key;
+        const std::size_t tail =
+            std::min(nb.decisions.size(), static_cast<std::size_t>(l - 1));
+        for (std::size_t i = nb.decisions.size() - tail; i < nb.decisions.size(); ++i) {
+          key.push_back(nb.decisions[i].level_i);
+          key.push_back(nb.decisions[i].level_q);
+        }
+        key.insert(key.end(), nb.pixel_hist.begin(), nb.pixel_hist.end());
+        if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
+        seen.push_back(key);
+      }
+      if (soft_output) {
+        nb.llrs = parent.llrs;
+        demap({slot_scores.data() + c.parent * alphabet_size, alphabet_size}, nb.llrs);
+      }
+      std::vector<kernels::CTerm> terms;
+      gather(m, c.sym.level_i, parent.pixel_hist, terms);
+      if (p.use_q_channel) gather(l + m, c.sym.level_q, parent.pixel_hist, terms);
+      for (auto& t : terms) t.tmpl += t_samps;
+      nb.residual.resize(w_samps);
+      kernels::dfe_residual(w_samps - t_samps, parent.residual.data() + t_samps,
+                            nb.residual.data(), terms.data(), terms.size());
+      slide_in(nb.residual, n);
+      next.push_back(std::move(nb));
+    }
+    cur = std::move(next);
+  }
+  const auto best = std::min_element(cur.begin(), cur.end(), [](const Branch& a, const Branch& b) {
+    return a.metric < b.metric;
+  });
+  EqualizerResult out;
+  out.symbols = best->decisions;
+  out.final_metric = best->metric;
+  if (soft_output) out.soft_bits = best->llrs;
+  return out;
+}
+
+/// One received payload ready for the DFE: a noisy rendered frame whose
+/// pulse bank was trained online from the frame's own training section.
+struct RenderedFrame {
+  sig::IqWaveform rx;
+  PulseBank bank;
+  std::size_t payload_begin = 0;
+  int payload_slots = 0;
+  std::vector<unsigned> histories;
+};
+
+RenderedFrame render_trained_frame(const PhyParams& p, std::size_t n_bits, double noise_sigma,
+                                   std::uint64_t seed) {
+  const Modulator mod(p);
+  Rng rng(seed);
+  ModulatorWorkspace mod_ws;
+  PacketSchedule pkt;
+  mod.modulate_into(rng.bits(n_bits), mod_ws, pkt);
+  const TestChannel ch{p.tag_config(), rt::deg_to_rad(10.0), 1.0, noise_sigma, seed + 1};
+  RenderedFrame f;
+  f.rx = ch.source()(pkt.firings, pkt.duration_s + p.symbol_duration_s());
+  const Demodulator demod(p, make_offline_model(p));
+  PreambleWorkspace preamble_ws;
+  const auto det = demod.preamble().detect(f.rx, 4 * p.samples_per_slot(), preamble_ws);
+  EXPECT_TRUE(det.found);
+  demod.preamble().correct_in_place(f.rx, det);
+  TrainingWorkspace training_ws;
+  OnlineTrainer::train_into(p, demod.offline_model(), pkt.layout, f.rx, det.start_sample, f.bank,
+                            training_ws);
+  f.payload_begin = det.start_sample +
+                    static_cast<std::size_t>(pkt.layout.payload_begin()) * p.samples_per_slot();
+  f.payload_slots = pkt.layout.payload_slots;
+  f.histories = Demodulator::initial_payload_histories(p, pkt.layout);
+  return f;
+}
+
+/// Byte-for-byte equality of two equalizer outputs.
+void expect_same_bits(const EqualizerResult& got, const EqualizerResult& want) {
+  ASSERT_EQ(got.symbols.size(), want.symbols.size());
+  EXPECT_EQ(std::memcmp(got.symbols.data(), want.symbols.data(),
+                        got.symbols.size() * sizeof(SymbolLevels)),
+            0);
+  EXPECT_EQ(std::memcmp(&got.final_metric, &want.final_metric, sizeof(double)), 0)
+      << got.final_metric << " vs " << want.final_metric;
+  ASSERT_EQ(got.soft_bits.size(), want.soft_bits.size());
+  if (!want.soft_bits.empty()) {
+    EXPECT_EQ(std::memcmp(got.soft_bits.data(), want.soft_bits.data(),
+                          got.soft_bits.size() * sizeof(float)),
+              0);
+  }
+}
+
+TEST(Equalizer, FactoredScoringMatchesReference) {
+  // The factored scoring, the heap selection and the label-table demapper
+  // must reproduce the reference bit for bit on every shape the receiver
+  // runs: 16- and 256-PQAM, no Q channel, basic DSM, K in {1, 16} (and a
+  // state-merging K = 64 at 8 kbps), hard and soft output.
+  auto no_q = PhyParams::rate_8kbps();
+  no_q.use_q_channel = false;
+  auto basic = PhyParams::rate_8kbps();
+  basic.basic_rest_slots = 3;
+  struct Shape {
+    const char* name;
+    PhyParams p;
+    std::size_t n_bits;
+    double noise_sigma;
+    bool with_merging;
+  };
+  const Shape shapes[] = {
+      {"8kbps 16-PQAM", PhyParams::rate_8kbps(), 160, 0.03, true},
+      {"16kbps 256-PQAM", PhyParams::rate_16kbps(), 320, 0.01, false},
+      {"8kbps no Q channel", no_q, 80, 0.03, false},
+      {"8kbps basic DSM", basic, 160, 0.03, false},
+  };
+  for (const auto& shape : shapes) {
+    const auto frame = render_trained_frame(shape.p, shape.n_bits, shape.noise_sigma, 17);
+    std::vector<std::pair<int, bool>> configs = {{1, false}, {16, false}};
+    if (shape.with_merging) configs.emplace_back(64, true);
+    for (const auto& [k, merge] : configs) {
+      for (const bool soft : {false, true}) {
+        SCOPED_TRACE(testing::Message() << shape.name << " K=" << k << " merge=" << merge
+                                        << " soft=" << soft);
+        auto p = shape.p;
+        p.equalizer_branches = k;
+        p.merge_equalizer_states = merge;
+        const DfeEqualizer eq(p, frame.bank);
+        EqualizerWorkspace ws;
+        EqualizerResult got;
+        // Twice through one workspace: the second call runs on warm pools.
+        for (int pass = 0; pass < 2; ++pass) {
+          eq.equalize_into(frame.rx, frame.payload_begin, frame.payload_slots, frame.histories,
+                           ws, got, soft);
+        }
+        const auto want = reference_equalize(p, frame.bank, frame.rx, frame.payload_begin,
+                                             frame.payload_slots, frame.histories, soft);
+        expect_same_bits(got, want);
+      }
+    }
+  }
+}
+
+TEST(Equalizer, ExactTiesResolveToEnumerationOrder) {
+  // A zero-filled pulse bank makes every candidate of every slot score the
+  // same, so every survivor choice is an exact tie. Ties resolve to the
+  // lower enumeration index (earlier branch, lower I level, lower Q
+  // level), so the winner decides (0, 0) in every slot -- (0, -1) without
+  // the Q channel.
+  auto no_q = PhyParams::rate_8kbps();
+  no_q.use_q_channel = false;
+  for (const auto& p : {PhyParams::rate_8kbps(), PhyParams::rate_16kbps(), no_q}) {
+    SCOPED_TRACE(testing::Message() << p.levels_per_axis() << " levels per axis, Q channel "
+                                    << p.use_q_channel);
+    PulseBank bank;
+    bank.resize(p.use_q_channel ? 2 * p.dsm_order : p.dsm_order, p.fingerprint_entries(),
+                p.samples_per_symbol());
+    constexpr int kSlots = 40;
+    sig::IqWaveform rx(p.sample_rate_hz,
+                       static_cast<std::size_t>(kSlots + p.dsm_order) * p.samples_per_slot());
+    Rng rng(5);
+    sig::add_noise_sigma(rx, 1.0, rng);
+    const std::vector<unsigned> histories(
+        static_cast<std::size_t>(bank.modules() * p.bits_per_axis), 0U);
+    const DfeEqualizer eq(p, bank);
+    EqualizerWorkspace ws;
+    EqualizerResult out;
+    eq.equalize_into(rx, 0, kSlots, histories, ws, out);
+    ASSERT_EQ(out.symbols.size(), static_cast<std::size_t>(kSlots));
+    const SymbolLevels first{0, p.use_q_channel ? 0 : -1};
+    std::size_t off_first = 0;
+    for (const auto& s : out.symbols) off_first += (s == first) ? 0 : 1;
+    EXPECT_EQ(off_first, 0u) << "first decision (" << out.symbols.front().level_i << ", "
+                             << out.symbols.front().level_q << ")";
+  }
 }
 
 TEST(Training, OnlineReconstructionMatchesOracleTemplates) {
